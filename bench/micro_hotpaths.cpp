@@ -303,6 +303,47 @@ void BM_OlsrWorldSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_OlsrWorldSecond)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
 
+// The OLSR control plane at the scale of the olsr-mobile50 benchmark
+// workload: 50 nodes under RandomWaypoint (1000 m field, 250 m range, up to
+// 4 m/s), untraced, warmed up for 8 sim-s, then one sim-second (10 x 100 ms
+// mobility steps) per iteration. TC handling and the route recompute it
+// triggers dominate. The iteration count is fixed so that runs of different
+// builds measure the same seeded sim-seconds; route_recomputes and
+// route_recompute_skips are the OLSR calculator's memo counters per op.
+void BM_OlsrWorld50Second(benchmark::State& state) {
+  testbed::SimWorld world(50, /*seed=*/1234);
+  net::RandomWaypoint::Params p;
+  p.width = 1000.0;
+  p.height = 1000.0;
+  p.range = 250.0;
+  p.max_speed = 4.0;
+  world.enable_mobility(p, /*seed=*/7);
+  world.deploy_all("olsr");
+  for (int s = 0; s < 80; ++s) world.step_mobility(msec(100));
+
+  auto total = [&world](const char* name) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < world.size(); ++i) {
+      sum += world.kit(i).metrics().counter_value(name);
+    }
+    return static_cast<double>(sum);
+  };
+  const double runs0 = total("olsr.route_recomputes");
+  const double skips0 = total("olsr.route_recompute_skips");
+  AllocWindow window;
+  for (auto _ : state) {
+    for (int s = 0; s < 10; ++s) world.step_mobility(msec(100));
+  }
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(window.sample()), benchmark::Counter::kAvgIterations);
+  state.counters["route_recomputes"] = benchmark::Counter(
+      total("olsr.route_recomputes") - runs0, benchmark::Counter::kAvgIterations);
+  state.counters["route_recompute_skips"] =
+      benchmark::Counter(total("olsr.route_recompute_skips") - skips0,
+                         benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_OlsrWorld50Second)->Iterations(5)->Unit(benchmark::kMillisecond);
+
 // Mobile-world stepping at scale: n nodes under RandomWaypoint on a field
 // sized for constant density (~5 neighbours/node at range 250), one
 // sim-second (10 x 100ms mobility steps) per iteration. BM_WorldSecond runs

@@ -8,28 +8,59 @@
 # MK_ALLOC_BUDGET allocs/op (default 50) plus 10% headroom, or the script
 # exits non-zero — the CI-facing regression gate for the arena/pool layer.
 #
-# Usage: bench/run_hotpaths.sh [build-dir]
+# With a second build directory (a build of the code before a change), the
+# OLSR world benches (BM_OlsrWorld*) are also run as same-host pairs: five
+# rounds, each running that subset from both builds in alternating order.
+# Each matching row gains the medians over the pairs: paired_real_time_ns
+# (this build), before_real_time_ns and before_allocs_per_op (the other
+# build), and before_speedup (before / paired). MK_BEFORE_LABEL names the
+# other build in the report (e.g. the commit it was built from).
+#
+# Usage: bench/run_hotpaths.sh [build-dir] [before-build-dir]
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 bench_bin="$build_dir/bench/micro_hotpaths"
-
-if [[ ! -x "$bench_bin" ]]; then
-  echo "error: $bench_bin not built (cmake --build $build_dir --target micro_hotpaths)" >&2
-  exit 1
+before_bin=""
+if [[ $# -ge 2 ]]; then
+  before_bin="$2/bench/micro_hotpaths"
 fi
 
+for bin in "$bench_bin" ${before_bin:+"$before_bin"}; do
+  if [[ ! -x "$bin" ]]; then
+    echo "error: $bin not built (cmake --build <build-dir> --target micro_hotpaths)" >&2
+    exit 1
+  fi
+done
+
 raw="$(mktemp)"
-trap 'rm -f "$raw"' EXIT
+pairs="$(mktemp -d)"
+trap 'rm -rf "$raw" "$pairs"' EXIT
 "$bench_bin" --benchmark_min_time=0.05 --benchmark_format=json > "$raw"
+if [[ -n "$before_bin" ]]; then
+  for ((i = 0; i < 5; i++)); do
+    order=(after before)
+    ((i % 2)) && order=(before after)
+    for side in "${order[@]}"; do
+      bin="$bench_bin"
+      [[ "$side" == before ]] && bin="$before_bin"
+      "$bin" --benchmark_min_time=0.2 --benchmark_format=json \
+        --benchmark_filter='^BM_OlsrWorld' \
+        > "$pairs/$side.$i.json"
+    done
+  done
+fi
 
 # Pre-zero-copy numbers (same bench, commit before the shared-payload / COW /
 # single-allocation-serialize change), kept here so the report always carries
 # its reference point.
-python3 - "$raw" "$repo_root/BENCH_hotpaths.json" <<'EOF'
+MK_BEFORE_LABEL="${MK_BEFORE_LABEL:-}" \
+python3 - "$raw" "$repo_root/BENCH_hotpaths.json" "$pairs" <<'EOF'
+import glob
 import json
 import os
+import statistics
 import sys
 
 BASELINE_NS = {
@@ -59,6 +90,26 @@ for b in benches:
     b["real_time"] *= scale
     b["cpu_time"] *= scale
 
+
+def paired(side):
+    """name -> (median real_time ns, median allocs_per_op or None)."""
+    runs = {}
+    for path in glob.glob(os.path.join(sys.argv[3], side + ".*.json")):
+        for b in json.load(open(path)).get("benchmarks", []):
+            scale = UNIT_NS[b.get("time_unit", "ns")]
+            runs.setdefault(b["name"], []).append(
+                (b["real_time"] * scale, b.get("allocs_per_op")))
+    out = {}
+    for name, rs in runs.items():
+        allocs = [a for _, a in rs if a is not None]
+        out[name] = (statistics.median(t for t, _ in rs),
+                     statistics.median(allocs) if allocs else None)
+    return out
+
+
+after_pairs = paired("after")
+before_pairs = paired("before")
+
 # The mobile-world scale benches carry their baseline in the same run: the
 # reference-backend rerun of the identical seeded scenario. Map
 # BM_WorldSecond/N -> BM_WorldSecondRef/N so the report shows the grid
@@ -79,7 +130,8 @@ for b in benches:
     }
     for counter in ("allocs_per_op", "faults_fired", "pair_evals",
                     "link_flips", "recovered_cycles", "reconverge_us",
-                    "rehydrates"):
+                    "rehydrates", "route_recomputes",
+                    "route_recompute_skips"):
         if counter in b:
             entry[counter] = round(b[counter], 2)
     if b["name"] in BASELINE_NS:
@@ -88,6 +140,14 @@ for b in benches:
     elif b["name"] in ref_ns:
         entry["baseline_ns"] = round(ref_ns[b["name"]], 1)
         entry["speedup"] = round(ref_ns[b["name"]] / b["real_time"], 2)
+    if b["name"] in before_pairs and b["name"] in after_pairs:
+        new_ns = after_pairs[b["name"]][0]
+        old_ns, old_allocs = before_pairs[b["name"]]
+        entry["paired_real_time_ns"] = round(new_ns, 1)
+        entry["before_real_time_ns"] = round(old_ns, 1)
+        if old_allocs is not None:
+            entry["before_allocs_per_op"] = round(old_allocs, 2)
+        entry["before_speedup"] = round(old_ns / new_ns, 2)
     results.append(entry)
 
 report = {
@@ -114,6 +174,13 @@ report = {
             "arena/pool layer removes per sim-second (pre-pool builds "
             "measured ~385 allocs/op on /1; the budget gate holds /1 at "
             "<= 50 +10%). "
+            "BM_OlsrWorld50Second steps a 50-node RandomWaypoint OLSR world "
+            "(the olsr-mobile50 benchmark workload's shape) one sim-second "
+            "per iteration; route_recomputes/route_recompute_skips are the "
+            "route calculator's memo counters per op. before_* and "
+            "paired_real_time_ns columns, where present, are medians over "
+            "alternating same-host runs of this build and a build of the "
+            "code before the change (see before_label and before_pairs). "
             "BM_WorldSecond/{100,1000} steps a RandomWaypoint world one "
             "sim-second on the spatial-hash grid topology backend; its "
             "baseline_ns column is BM_WorldSecondRef (the exhaustive O(n^2) "
@@ -133,6 +200,10 @@ report = {
     "context": raw.get("context", {}),
     "results": results,
 }
+if before_pairs:
+    report["before_label"] = os.environ.get("MK_BEFORE_LABEL", "")
+    report["before_pairs"] = len(
+        glob.glob(os.path.join(sys.argv[3], "before.*.json")))
 json.dump(report, open(sys.argv[2], "w"), indent=2)
 print(f"wrote {sys.argv[2]} ({len(results)} benchmarks)")
 

@@ -4,18 +4,20 @@
 
 namespace mk::net {
 
-void KernelRouteTable::set_route(const RouteEntry& entry) {
+bool KernelRouteTable::set_route(const RouteEntry& entry) {
   MK_ASSERT(entry.dest != kNoAddr && entry.next_hop != kNoAddr);
-  auto it = routes_.find(entry.dest);
-  bool changed = it == routes_.end() || it->second.next_hop != entry.next_hop ||
-                 it->second.metric != entry.metric;
-  routes_[entry.dest] = entry;
+  auto [it, fresh] = routes_.try_emplace(entry.dest, entry);
+  bool rerouted = fresh || it->second.next_hop != entry.next_hop ||
+                  it->second.metric != entry.metric;
+  if (!rerouted && it->second.iface == entry.iface) return false;
+  if (!fresh) it->second = entry;
   ++generation_;
-  if (changed && journal_ != nullptr) {
+  if (rerouted && journal_ != nullptr) {
     journal_->append({obs::RecordKind::kRouteAdd, self_,
                       clock_ != nullptr ? clock_->now().us : 0, entry.dest,
                       entry.next_hop, entry.metric});
   }
+  return true;
 }
 
 bool KernelRouteTable::remove_route(Addr dest) {

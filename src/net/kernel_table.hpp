@@ -29,8 +29,11 @@ struct RouteEntry {
 
 class KernelRouteTable {
  public:
-  /// Adds or replaces the route to `entry.dest`.
-  void set_route(const RouteEntry& entry);
+  /// Adds or replaces the route to `entry.dest`; returns true if anything
+  /// changed. Rewriting the installed next hop, metric and interface is a
+  /// no-op: the table, generation() and the journal stay untouched, and the
+  /// entry keeps its first `installed_at`.
+  bool set_route(const RouteEntry& entry);
 
   /// Removes the route to `dest`; returns true if one existed.
   bool remove_route(Addr dest);
@@ -46,8 +49,9 @@ class KernelRouteTable {
   std::size_t size() const { return routes_.size(); }
   void clear();
 
-  /// Monotonic change counter (bumped on every mutation) — cheap way for
-  /// harnesses to detect convergence.
+  /// Monotonic change counter, bumped on every effective mutation (not on a
+  /// no-op set_route) — a cheap way for harnesses to detect convergence and
+  /// for derived-route memos to notice writes by anyone else.
   std::uint64_t generation() const { return generation_; }
 
   /// Attaches a trace journal: effective route changes (install with a new

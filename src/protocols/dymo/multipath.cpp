@@ -1,5 +1,7 @@
 #include "protocols/dymo/multipath.hpp"
 
+#include <string_view>
+
 #include "core/attrs.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -9,6 +11,12 @@ namespace mk::proto {
 namespace {
 
 using core::attrs::kDest;
+
+std::string_view handler_type(core::ManetProtocolCf& dymo,
+                              std::string_view name) {
+  oc::Component* h = dymo.control().find(name);
+  return h == nullptr ? std::string_view{} : h->type_name();
+}
 
 MultipathDymoState& mp_state_of(core::ProtocolContext& ctx) {
   auto* s = dynamic_cast<MultipathDymoState*>(ctx.state());
@@ -120,9 +128,12 @@ void apply_multipath_dymo(core::Manetkit& kit, DymoParams params) {
   auto new_state = std::make_unique<MultipathDymoState>(*old_state);
   dymo->set_state(std::move(new_state));
 
-  // 2 & 3. Handler replacements.
-  dymo->replace_handler("ReHandler",
-                        std::make_unique<MultipathReHandler>(params));
+  // 2 & 3. Handler replacements. The RE handler is taken over only from the
+  // base one: another variant's (optimised flooding) stays in place.
+  if (handler_type(*dymo, "ReHandler") == "dymo.ReHandler") {
+    dymo->replace_handler("ReHandler",
+                          std::make_unique<MultipathReHandler>(params));
+  }
   dymo->replace_handler("RouteErrHandler",
                         std::make_unique<MultipathInvalidationHandler>(params));
 }
@@ -146,7 +157,11 @@ void remove_multipath_dymo(core::Manetkit& kit, DymoParams params) {
     }
   }
   dymo->set_state(std::move(new_state));
-  dymo->replace_handler("ReHandler", std::make_unique<ReHandler>(params));
+  // Swap back only the handlers multipath installed: optimised flooding may
+  // own the RE handler by now.
+  if (handler_type(*dymo, "ReHandler") == "dymo.MultipathReHandler") {
+    dymo->replace_handler("ReHandler", std::make_unique<ReHandler>(params));
+  }
   dymo->replace_handler("RouteErrHandler",
                         std::make_unique<RouteInvalidationHandler>(params));
 }

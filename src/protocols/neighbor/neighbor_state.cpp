@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/state_version.hpp"
+
 namespace mk::proto {
 
 namespace {
@@ -19,7 +21,9 @@ void sorted_erase(std::vector<net::Addr>& v, net::Addr a) {
 
 }  // namespace
 
-NeighborTable::NeighborTable() : oc::Component("neighbor.NeighborTable") {
+NeighborTable::NeighborTable()
+    : oc::Component("neighbor.NeighborTable"),
+      version_(core::next_state_version()) {
   provide("INeighborState", static_cast<INeighborState*>(this));
   provide("IState", static_cast<core::IState*>(this));
 }
@@ -37,31 +41,40 @@ bool NeighborTable::set_symmetric(net::Addr a, bool sym) {
   } else {
     sorted_erase(sym_cache_, a);
   }
+  version_ = core::next_state_version();
   return true;
 }
 
 void NeighborTable::set_two_hop(net::Addr a, std::set<net::Addr> nbrs) {
-  entries_[a].two_hop = std::move(nbrs);
+  std::set<net::Addr>& cur = entries_[a].two_hop;
+  if (cur == nbrs) return;
+  cur = std::move(nbrs);
+  version_ = core::next_state_version();
 }
 
 void NeighborTable::set_two_hop(net::Addr a,
                                 std::span<const net::Addr> sorted) {
   std::set<net::Addr>& cur = entries_[a].two_hop;
+  bool changed = false;
   auto it = cur.begin();
   auto sit = sorted.begin();
   while (it != cur.end() && sit != sorted.end()) {
     if (*it < *sit) {
       it = cur.erase(it);
+      changed = true;
     } else if (*sit < *it) {
       cur.insert(it, *sit);  // hinted: lands just before `it`
       ++sit;
+      changed = true;
     } else {
       ++it;
       ++sit;
     }
   }
+  changed = changed || it != cur.end() || sit != sorted.end();
   while (it != cur.end()) it = cur.erase(it);
   for (; sit != sorted.end(); ++sit) cur.insert(cur.end(), *sit);
+  if (changed) version_ = core::next_state_version();
 }
 
 std::vector<net::Addr> NeighborTable::expire(TimePoint now, Duration hold) {
@@ -73,6 +86,7 @@ std::vector<net::Addr> NeighborTable::expire(TimePoint now, Duration hold) {
         sorted_erase(sym_cache_, it->first);
       }
       it = entries_.erase(it);
+      version_ = core::next_state_version();
     } else {
       ++it;
     }
@@ -86,6 +100,7 @@ bool NeighborTable::remove(net::Addr a) {
   bool was_sym = it->second.symmetric;
   if (was_sym) sorted_erase(sym_cache_, a);
   entries_.erase(it);
+  version_ = core::next_state_version();
   return was_sym;
 }
 

@@ -4,6 +4,7 @@
 // neighbours via piggybacking").
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
@@ -33,6 +34,11 @@ struct INeighborState : core::IState {
   /// Nodes exactly two hops away (reachable via some sym neighbour, not
   /// neighbours themselves, not us).
   virtual std::set<net::Addr> strict_two_hop(net::Addr self) const = 0;
+  /// Content version: restamped from core::next_state_version() whenever the
+  /// symmetric set or any two-hop set changes, or an entry is removed (not on
+  /// a mere note_heard), so a route computation keyed on it can skip an
+  /// unchanged neighbourhood.
+  virtual std::uint64_t version() const = 0;
 };
 
 class NeighborTable : public oc::Component, public INeighborState {
@@ -43,6 +49,7 @@ class NeighborTable : public oc::Component, public INeighborState {
   void note_heard(net::Addr a, TimePoint now);
   /// Returns true if the symmetric status changed.
   bool set_symmetric(net::Addr a, bool sym);
+  /// Both set_two_hop overloads move version() only on a real difference.
   void set_two_hop(net::Addr a, std::set<net::Addr> nbrs);
   /// In-place variant: `sorted` must be ascending and duplicate-free. The
   /// stored set is diffed against it, so an unchanged advertisement (the
@@ -62,6 +69,7 @@ class NeighborTable : public oc::Component, public INeighborState {
   std::vector<net::Addr> heard_neighbors() const override;
   const std::set<net::Addr>& two_hop_via(net::Addr n) const override;
   std::set<net::Addr> strict_two_hop(net::Addr self) const override;
+  std::uint64_t version() const override { return version_; }
   std::string describe() const override;
 
   /// Visits (addr, is_symmetric) for every tracked neighbour in address
@@ -96,6 +104,7 @@ class NeighborTable : public oc::Component, public INeighborState {
   // Sorted mirror of the symmetric subset of entries_, maintained on every
   // symmetric-status transition so sym_neighbors() is a reference return.
   std::vector<net::Addr> sym_cache_;
+  std::uint64_t version_;
   std::vector<PiggybackProvider> providers_;
   std::vector<PiggybackObserver> observers_;
 };

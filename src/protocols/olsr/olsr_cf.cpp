@@ -1,5 +1,7 @@
 #include "protocols/olsr/olsr_cf.hpp"
 
+#include <algorithm>
+
 #include "core/soft_state.hpp"
 #include "protocols/mpr/mpr_cf.hpp"
 #include "protocols/olsr/route_calculator.hpp"
@@ -126,12 +128,16 @@ class TcHandler final : public core::EventHandler {
     const auto* ansn_tlv = msg.find_tlv(wire::kTlvAnsn);
     if (ansn_tlv == nullptr) return;
 
-    std::set<net::Addr> advertised;
+    advertised_.clear();
     for (const auto& block : msg.addr_blocks) {
-      advertised.insert(block.addrs.begin(), block.addrs.end());
+      advertised_.insert(advertised_.end(), block.addrs.begin(),
+                         block.addrs.end());
     }
+    std::sort(advertised_.begin(), advertised_.end());
+    advertised_.erase(std::unique(advertised_.begin(), advertised_.end()),
+                      advertised_.end());
     OlsrState& st = olsr_state_of(ctx);
-    if (st.update_topology(*msg.originator, ansn_tlv->as_u16(), advertised,
+    if (st.update_topology(*msg.originator, ansn_tlv->as_u16(), advertised_,
                            ctx.now(), params_.topology_hold)) {
       if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
       if (soft_ != nullptr) soft_->touch(topo_set_, *msg.originator);
@@ -145,6 +151,7 @@ class TcHandler final : public core::EventHandler {
   core::ISoftExpiry::SetId topo_set_;
   core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
   obs::Counter* tc_in_ = nullptr;  // cached: interned once, then atomic inc
+  std::vector<net::Addr> advertised_;  // sorted, reused across TCs
 };
 
 /// Neighbourhood / relay-selection changes invalidate routes immediately;

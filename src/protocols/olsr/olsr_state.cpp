@@ -1,6 +1,9 @@
 #include "protocols/olsr/olsr_state.hpp"
 
+#include <algorithm>
 #include <sstream>
+
+#include "core/state_version.hpp"
 
 namespace mk::proto {
 
@@ -13,7 +16,8 @@ bool seq_newer(std::uint16_t a, std::uint16_t b) {
 
 }  // namespace
 
-OlsrState::OlsrState() : oc::Component("olsr.OlsrState") {
+OlsrState::OlsrState()
+    : oc::Component("olsr.OlsrState"), version_(core::next_state_version()) {
   set_instance_name("State");
   provide("IOlsrState", static_cast<IOlsrState*>(this));
   provide("IState", static_cast<core::IState*>(this));
@@ -21,18 +25,26 @@ OlsrState::OlsrState() : oc::Component("olsr.OlsrState") {
 }
 
 bool OlsrState::update_topology(net::Addr origin, std::uint16_t ansn,
+                                std::span<const net::Addr> advertised,
+                                TimePoint now, Duration hold) {
+  auto [it, fresh] = topology_.try_emplace(origin);
+  TopologyEntry& e = it->second;
+  if (!fresh && seq_newer(e.ansn, ansn)) return false;  // stale information
+  if (fresh || !std::equal(e.advertised.begin(), e.advertised.end(),
+                           advertised.begin(), advertised.end())) {
+    e.advertised.assign(advertised.begin(), advertised.end());
+    version_ = core::next_state_version();
+  }
+  e.ansn = ansn;
+  e.expires = now + hold;
+  return true;
+}
+
+bool OlsrState::update_topology(net::Addr origin, std::uint16_t ansn,
                                 const std::set<net::Addr>& advertised,
                                 TimePoint now, Duration hold) {
-  auto it = topology_.find(origin);
-  if (it != topology_.end() && seq_newer(it->second.ansn, ansn)) {
-    return false;  // stale information
-  }
-  TopologyEntry entry;
-  entry.ansn = ansn;
-  entry.advertised = advertised;
-  entry.expires = now + hold;
-  topology_[origin] = std::move(entry);
-  return true;
+  std::vector<net::Addr> sorted(advertised.begin(), advertised.end());
+  return update_topology(origin, ansn, sorted, now, hold);
 }
 
 bool OlsrState::expire_topology(TimePoint now) {
@@ -45,7 +57,14 @@ bool OlsrState::expire_topology(TimePoint now) {
       ++it;
     }
   }
+  if (changed) version_ = core::next_state_version();
   return changed;
+}
+
+bool OlsrState::drop_topology(net::Addr origin) {
+  if (topology_.erase(origin) == 0) return false;
+  version_ = core::next_state_version();
+  return true;
 }
 
 std::vector<net::Addr> OlsrState::topology_origins() const {
@@ -66,6 +85,13 @@ void OlsrState::append_topology_edges(
   for (const auto& [origin, e] : topology_) {
     for (net::Addr d : e.advertised) out.emplace_back(origin, d);
   }
+}
+
+void OlsrState::set_energy(net::Addr node, double level) {
+  auto [it, fresh] = energy_.try_emplace(node, level);
+  if (!fresh && it->second == level) return;
+  it->second = level;
+  version_ = core::next_state_version();
 }
 
 double OlsrState::energy_of(net::Addr node) const {
@@ -132,8 +158,12 @@ bool OlsrState::decode_state(std::span<const std::uint8_t> blob) {
     for (std::uint16_t j = 0; j < n; ++j) {
       std::uint32_t a = 0;
       if (!cc::get_u32(blob, off, a)) return false;
-      e.advertised.insert(a);
+      e.advertised.push_back(a);
     }
+    // Blobs arrive off the wire: restore the sorted, duplicate-free form.
+    std::sort(e.advertised.begin(), e.advertised.end());
+    e.advertised.erase(std::unique(e.advertised.begin(), e.advertised.end()),
+                       e.advertised.end());
     topology_[origin] = std::move(e);
   }
   return off == blob.size();
@@ -147,6 +177,7 @@ void OlsrState::reset_state() {
   installed_.clear();
   energy_.clear();
   own_battery_ = 1.0;
+  version_ = core::next_state_version();
 }
 
 std::string OlsrState::describe() const {

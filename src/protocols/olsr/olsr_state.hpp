@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,13 @@ class OlsrState : public oc::Component,
   // -- topology set -----------------------------------------------------------
   /// Applies a TC: rejected (returns false) if `ansn` is older than the
   /// newest seen from `origin`. On acceptance replaces origin's advertised
-  /// set and refreshes its validity.
+  /// set (`advertised` must be ascending and duplicate-free) and refreshes
+  /// its validity. A TC repeating the origin's current set only updates the
+  /// ANSN and expiry: it returns true but leaves version() alone.
+  bool update_topology(net::Addr origin, std::uint16_t ansn,
+                       std::span<const net::Addr> advertised, TimePoint now,
+                       Duration hold);
+  /// Adapter for callers holding a std::set.
   bool update_topology(net::Addr origin, std::uint16_t ansn,
                        const std::set<net::Addr>& advertised, TimePoint now,
                        Duration hold);
@@ -43,7 +50,7 @@ class OlsrState : public oc::Component,
 
   /// Removes one origin's advertisements (soft-state expiry); returns true
   /// if the origin was present.
-  bool drop_topology(net::Addr origin) { return topology_.erase(origin) > 0; }
+  bool drop_topology(net::Addr origin);
 
   /// Origins with live advertisements (expiry re-seeding after restart).
   std::vector<net::Addr> topology_origins() const;
@@ -73,10 +80,15 @@ class OlsrState : public oc::Component,
   std::vector<net::Addr>& installed_dests() { return installed_; }
 
   // -- residual energy (power-aware variant) -----------------------------------------
-  void set_energy(net::Addr node, double level) { energy_[node] = level; }
+  void set_energy(net::Addr node, double level);
   double energy_of(net::Addr node) const;
   void set_own_battery(double level) { own_battery_ = level; }
   double own_battery() const { return own_battery_; }
+
+  /// Content version: restamped from core::next_state_version() whenever the
+  /// topology set's content or the energy map changes, and on reset/decode —
+  /// the inputs a route recompute reads from this element.
+  std::uint64_t version() const { return version_; }
 
   std::string describe() const override;
 
@@ -91,7 +103,7 @@ class OlsrState : public oc::Component,
  private:
   struct TopologyEntry {
     std::uint16_t ansn = 0;
-    std::set<net::Addr> advertised;
+    std::vector<net::Addr> advertised;  // ascending, duplicate-free
     TimePoint expires{};
   };
   std::map<net::Addr, TopologyEntry> topology_;
@@ -101,6 +113,7 @@ class OlsrState : public oc::Component,
   std::vector<net::Addr> installed_;
   std::map<net::Addr, double> energy_;
   double own_battery_ = 1.0;
+  std::uint64_t version_;
 };
 
 }  // namespace mk::proto

@@ -36,6 +36,19 @@ void RouteCalculator::recompute(core::ProtocolContext& ctx) {
                 "INeighborState");
   if (nbr == nullptr) return;
 
+  net::KernelRouteTable& kernel = ctx.sys()->kernel_table();
+  InputKey key{nbr, nbr->version(), st, st->version(), &kernel,
+               kernel.generation()};
+  if (runs_ == nullptr) {
+    runs_ = &ctx.metrics().counter("olsr.route_recomputes");
+    skips_ = &ctx.metrics().counter("olsr.route_recompute_skips");
+  }
+  if (key == last_inputs_) {
+    skips_->inc();
+    return;
+  }
+  runs_->inc();
+
   net::Addr self = ctx.self();
 
   // Build the adjacency view: symmetric 1-hop links, 2-hop links learned
@@ -119,7 +132,6 @@ void RouteCalculator::recompute(core::ProtocolContext& ctx) {
   }
 
   // Resolve next hops and sync the kernel table.
-  net::KernelRouteTable& kernel = ctx.sys()->kernel_table();
   fresh_.clear();
   for (std::uint32_t i = 0; i < n; ++i) {
     if (i == self_idx || parent_[i] == kNoParent) continue;
@@ -143,6 +155,8 @@ void RouteCalculator::recompute(core::ProtocolContext& ctx) {
   }
   // Swap, don't move: fresh_ keeps the displaced capacity for next time.
   st->installed_dests().swap(fresh_);
+  key.kernel_generation = kernel.generation();
+  last_inputs_ = key;
 }
 
 EnergyRouteCalculator::EnergyRouteCalculator(core::ManetProtocolCf* mpr_cf)

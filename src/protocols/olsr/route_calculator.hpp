@@ -12,10 +12,13 @@
 
 #include "core/cfs.hpp"
 #include "net/address.hpp"
+#include "obs/metrics.hpp"
 #include "opencom/component.hpp"
 #include "protocols/olsr/olsr_state.hpp"
 
 namespace mk::proto {
+
+struct INeighborState;
 
 struct IRouteCalculator : oc::Interface {
   /// Recomputes all routes and syncs the kernel table (adding new routes,
@@ -29,6 +32,10 @@ class RouteCalculator : public oc::Component, public IRouteCalculator {
   /// information (a cross-CF direct-call binding in the paper's terms).
   explicit RouteCalculator(core::ManetProtocolCf* mpr_cf);
 
+  /// Skips the run (a memo hit) while every input is unchanged: the
+  /// neighbour state and OlsrState (pointer and version()) and the kernel
+  /// table (pointer and generation() as this calculator's own writes left
+  /// it). Otherwise runs Dijkstra and writes only the routes that changed.
   void recompute(core::ProtocolContext& ctx) override;
 
  protected:
@@ -40,6 +47,19 @@ class RouteCalculator : public oc::Component, public IRouteCalculator {
   core::ManetProtocolCf* mpr_cf_;
 
  private:
+  struct InputKey {
+    const INeighborState* nbr = nullptr;
+    std::uint64_t nbr_version = 0;
+    const OlsrState* olsr = nullptr;
+    std::uint64_t olsr_version = 0;
+    const net::KernelRouteTable* kernel = nullptr;
+    std::uint64_t kernel_generation = 0;
+    bool operator==(const InputKey&) const = default;
+  };
+  InputKey last_inputs_;  // all-null until the first full run
+  obs::Counter* runs_ = nullptr;   // cached: olsr.route_recomputes
+  obs::Counter* skips_ = nullptr;  // cached: olsr.route_recompute_skips
+
   // Dijkstra scratch, reused across recomputes: addresses are mapped onto a
   // dense index space so distance/parent lookups are array reads and the
   // whole computation performs no steady-state allocation (the capacity of

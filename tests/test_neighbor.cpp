@@ -40,6 +40,65 @@ TEST(NeighborTable, ExpiryReportsLostSymNeighbors) {
   EXPECT_TRUE(t.heard_neighbors().empty());
 }
 
+TEST(NeighborTable, VersionMovesOnlyWhenRouteInputsChange) {
+  NeighborTable t;
+  std::uint64_t v = t.version();
+  auto moved = [&] {
+    const std::uint64_t now = t.version();
+    const bool m = now != v;
+    v = now;
+    return m;
+  };
+  auto two_hop = [&](std::vector<net::Addr> sorted) {
+    t.set_two_hop(10, std::span<const net::Addr>(sorted));
+  };
+
+  t.note_heard(10, TimePoint{0});
+  EXPECT_FALSE(moved());
+  EXPECT_TRUE(t.set_symmetric(10, true));
+  EXPECT_TRUE(moved());
+  EXPECT_FALSE(t.set_symmetric(10, true));
+  EXPECT_FALSE(moved());
+
+  t.set_two_hop(10, std::set<net::Addr>{20, 30});
+  EXPECT_TRUE(moved());
+  t.set_two_hop(10, std::set<net::Addr>{20, 30});
+  EXPECT_FALSE(moved());
+
+  two_hop({20, 30});  // identical
+  EXPECT_FALSE(moved());
+  two_hop({20, 40});  // one out, one in
+  EXPECT_TRUE(moved());
+  two_hop({20});      // trailing removal
+  EXPECT_TRUE(moved());
+  two_hop({15, 20});  // insertion in front
+  EXPECT_TRUE(moved());
+  two_hop({15, 20, 50});  // trailing insertion
+  EXPECT_TRUE(moved());
+  EXPECT_EQ(t.two_hop_via(10), (std::set<net::Addr>{15, 20, 50}));
+
+  t.note_heard(10, TimePoint{sec(5).count()});
+  EXPECT_FALSE(moved());
+
+  t.note_heard(11, TimePoint{0});
+  t.set_symmetric(11, true);
+  moved();
+  EXPECT_TRUE(t.remove(11));
+  EXPECT_TRUE(moved());
+  EXPECT_FALSE(t.remove(11));
+  EXPECT_FALSE(moved());
+
+  EXPECT_TRUE(t.expire(TimePoint{sec(6).count()}, sec(3)).empty());
+  EXPECT_FALSE(moved());
+  EXPECT_EQ(t.expire(TimePoint{sec(20).count()}, sec(3)),
+            std::vector<net::Addr>{10});
+  EXPECT_TRUE(moved());
+
+  // Stamps come from one process-wide counter: two tables never share one.
+  NeighborTable other;
+  EXPECT_NE(other.version(), t.version());
+}
+
 TEST(NeighborTable, PiggybackProvidersAndObservers) {
   NeighborTable t;
   t.add_piggyback_provider(

@@ -127,6 +127,35 @@ TEST(KernelTable, DestsViaAndGeneration) {
   EXPECT_GT(table.generation(), gen0);
 }
 
+TEST(KernelTable, IdenticalSetRouteIsANoOp) {
+  SimScheduler sched;
+  obs::Journal journal(64);
+  KernelRouteTable table;
+  table.set_journal(&journal, 1, &sched);
+  ASSERT_TRUE(table.set_route(RouteEntry{10, 20, "wlan0", 2, TimePoint{5}}));
+  const auto gen = table.generation();
+  const auto records = journal.total();
+
+  // Same next hop, metric and interface: nothing changes, not even the
+  // first-install time.
+  EXPECT_FALSE(table.set_route(RouteEntry{10, 20, "wlan0", 2, TimePoint{9}}));
+  EXPECT_EQ(table.generation(), gen);
+  EXPECT_EQ(journal.total(), records);
+  EXPECT_EQ(table.lookup(10)->installed_at.us, 5);
+
+  // A new next hop or metric is an effective change: one kRouteAdd each.
+  EXPECT_TRUE(table.set_route(RouteEntry{10, 21, "wlan0", 2, TimePoint{9}}));
+  EXPECT_GT(table.generation(), gen);
+  EXPECT_EQ(journal.total(), records + 1);
+  const auto gen2 = table.generation();
+  EXPECT_TRUE(table.set_route(RouteEntry{10, 21, "wlan0", 3, TimePoint{9}}));
+  EXPECT_GT(table.generation(), gen2);
+  EXPECT_EQ(journal.total(), records + 2);
+  const auto snap = journal.snapshot();
+  EXPECT_EQ(snap.back().kind, obs::RecordKind::kRouteAdd);
+  EXPECT_EQ(snap.back().c, 3u);
+}
+
 TEST(Forwarding, DeliversLocallyAcrossTwoHops) {
   SimScheduler sched;
   SimMedium medium(sched);

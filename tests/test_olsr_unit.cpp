@@ -44,6 +44,64 @@ TEST(OlsrState, EnergyMapDefaultsToFull) {
   EXPECT_DOUBLE_EQ(st.energy_of(99), 0.25);
 }
 
+TEST(OlsrState, VersionMovesOnContentChangeNotOnRefresh) {
+  OlsrState st;
+  std::uint64_t v = st.version();
+  auto moved = [&] {
+    const std::uint64_t now = st.version();
+    const bool m = now != v;
+    v = now;
+    return m;
+  };
+  auto at = [](int s) { return TimePoint{sec(s).count()}; };
+
+  EXPECT_TRUE(st.update_topology(10, 1, {20, 21}, at(0), sec(15)));
+  EXPECT_TRUE(moved());  // new origin
+  // A refresh repeating the set is accepted (so the caller re-arms expiry)
+  // and takes the new ANSN and expiry, but the content is unchanged.
+  EXPECT_TRUE(st.update_topology(10, 5, {20, 21}, at(10), sec(15)));
+  EXPECT_FALSE(moved());
+  EXPECT_FALSE(st.update_topology(10, 4, {20, 21}, at(10), sec(15)));
+  EXPECT_FALSE(moved());
+  EXPECT_FALSE(st.expire_topology(at(20)));  // refreshed: lives to 25 s
+  EXPECT_FALSE(moved());
+  const std::vector<net::Addr> changed{20, 22};
+  EXPECT_TRUE(st.update_topology(10, 6, changed, at(10), sec(15)));
+  EXPECT_TRUE(moved());
+  EXPECT_EQ(st.topology_edges().back().second, 22u);
+
+  EXPECT_TRUE(st.expire_topology(at(30)));
+  EXPECT_TRUE(moved());
+
+  st.update_topology(11, 1, {20}, at(30), sec(15));
+  moved();
+  EXPECT_TRUE(st.drop_topology(11));
+  EXPECT_TRUE(moved());
+  EXPECT_FALSE(st.drop_topology(11));
+  EXPECT_FALSE(moved());
+
+  st.set_energy(5, 0.5);
+  EXPECT_TRUE(moved());
+  st.set_energy(5, 0.5);
+  EXPECT_FALSE(moved());
+  st.set_energy(5, 0.4);
+  EXPECT_TRUE(moved());
+
+  st.update_topology(12, 1, {30, 31}, at(30), sec(15));
+  std::vector<std::uint8_t> blob;
+  st.encode_state(blob);
+  st.reset_state();
+  EXPECT_TRUE(moved());
+  ASSERT_TRUE(st.decode_state(blob));
+  EXPECT_TRUE(moved());
+  EXPECT_EQ(st.topology_size(), 1u);
+
+  // Stamps come from one process-wide counter: a new element never repeats
+  // an old (address, version) pair.
+  OlsrState other;
+  EXPECT_GT(other.version(), st.version());
+}
+
 TEST(TcCodec, RoundTrip) {
   auto msg = tc::build(7, 12, 34, {100, 101});
   EXPECT_EQ(msg.type, wire::kMsgTc);

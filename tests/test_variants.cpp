@@ -203,6 +203,34 @@ TEST(MultipathDymo, RemoveRestoresSinglePathBehaviour) {
   EXPECT_TRUE(st->route_to(world.addr(2)).has_value());
 }
 
+TEST(MultipathDymo, RemoveKeepsOptimisedFlooding) {
+  // Either order of application: removing multipath swaps back only the
+  // handlers multipath installed, so optimised flooding survives it.
+  for (bool optflood_first : {true, false}) {
+    testbed::SimWorld world(3);
+    world.linear();
+    world.deploy_all("dymo");
+    world.run_for(sec(2));
+    core::Manetkit& kit = world.kit(0);
+    if (optflood_first) {
+      proto::apply_dymo_optimized_flooding(kit);
+      proto::apply_multipath_dymo(kit);
+    } else {
+      proto::apply_multipath_dymo(kit);
+      proto::apply_dymo_optimized_flooding(kit);
+    }
+    EXPECT_TRUE(proto::is_multipath_dymo(kit));
+    EXPECT_TRUE(proto::is_dymo_optimized_flooding(kit)) << optflood_first;
+
+    proto::remove_multipath_dymo(kit);
+    EXPECT_FALSE(proto::is_multipath_dymo(kit));
+    EXPECT_TRUE(proto::is_dymo_optimized_flooding(kit)) << optflood_first;
+    EXPECT_EQ(kit.protocol("dymo")->control().find("RouteErrHandler")
+                  ->type_name(),
+              "dymo.RouteInvalidationHandler");
+  }
+}
+
 TEST(OptFlooding, SharesMprWithOlsrAndStillDiscovers) {
   testbed::SimWorld world(5);
   world.linear();
