@@ -1,8 +1,5 @@
 #include "core/event_arena.hpp"
 
-#include <mutex>
-
-#include "util/assert.hpp"
 #include "util/mem.hpp"
 
 namespace mk::core {
@@ -13,93 +10,31 @@ namespace {
 // debugger and asserted against in the poison/fuzz test.
 constexpr pbb::Addr kPoisonAddr = 0xA5A5A5A5u;
 
-struct Slot {
-  ev::Event event;
-  std::uint64_t canary = 0;
-  Slot* next = nullptr;
-};
+/// A stale handle sees 0xA5 addresses and no message, never the recycled
+/// tenant's payload. reset() drops the message ref (returning it to its own
+/// pool) and keeps the attr vector's capacity.
+void poison(ev::Event& e) {
+  e.reset();
+  e.from = kPoisonAddr;
+  e.local = kPoisonAddr;
+}
 
-struct Arena {
-  std::mutex mu;
-  Slot* free_head = nullptr;
-  mem::PoolStats stats;
-
-  Arena() { mem::register_pool("core.event", &stats); }
-};
-
-Arena& arena() {
-  static Arena a;
+mem::SlotPool<ev::Event>& arena() {
+  // No reuse step: acquire_event resets every slot to its new type itself.
+  static mem::SlotPool<ev::Event> a("core.event", [](ev::Event&) {}, poison);
   return a;
 }
-
-void release(Slot* s) noexcept {
-  Arena& a = arena();
-  // Poison: a stale handle sees 0xA5 addresses and no message, never the
-  // recycled tenant's payload. reset() drops the message ref (returning it
-  // to its own pool) and keeps the attr vector's capacity.
-  s->event.reset();
-  s->event.from = kPoisonAddr;
-  s->event.local = kPoisonAddr;
-  s->canary = mem::kPoisonCanary;
-  {
-    std::lock_guard lock(a.mu);
-    s->next = a.free_head;
-    a.free_head = s;
-  }
-  a.stats.outstanding.fetch_sub(1, std::memory_order_relaxed);
-}
-
-struct SlotDeleter {
-  Slot* slot;
-  void operator()(ev::Event*) const noexcept { release(slot); }
-};
 
 }  // namespace
 
 std::shared_ptr<ev::Event> acquire_event(ev::EventTypeId type) {
-  if (mem::backend() == MemBackend::kHeap) {
-    return std::make_shared<ev::Event>(type);
-  }
-  Arena& a = arena();
-  Slot* s;
-  {
-    std::lock_guard lock(a.mu);
-    s = a.free_head;
-    if (s != nullptr) a.free_head = s->next;
-  }
-  if (s != nullptr) {
-    MK_ASSERT(s->canary == mem::kPoisonCanary, "event arena slot corrupted");
-    s->canary = 0;
-    s->next = nullptr;
-    s->event.reset(type);
-    a.stats.hits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    s = new Slot();
-    s->event.reset(type);
-    a.stats.misses.fetch_add(1, std::memory_order_relaxed);
-  }
-  a.stats.outstanding.fetch_add(1, std::memory_order_relaxed);
-  return std::shared_ptr<ev::Event>(&s->event, SlotDeleter{s},
-                                    mem::BlockAllocator<ev::Event>{});
+  std::shared_ptr<ev::Event> e = arena().acquire();
+  e->reset(type);
+  return e;
 }
 
-std::int64_t event_arena_outstanding() {
-  return arena().stats.outstanding.load(std::memory_order_relaxed);
-}
+std::int64_t event_arena_outstanding() { return arena().outstanding(); }
 
-void event_arena_trim() {
-  Arena& a = arena();
-  Slot* head;
-  {
-    std::lock_guard lock(a.mu);
-    head = a.free_head;
-    a.free_head = nullptr;
-  }
-  while (head != nullptr) {
-    Slot* next = head->next;
-    delete head;
-    head = next;
-  }
-}
+void event_arena_trim() { arena().trim(); }
 
 }  // namespace mk::core

@@ -1,13 +1,10 @@
-// Per-process arena of recycled ev::Event objects.
+// Per-process arena of recycled ev::Event objects ("core.event", a
+// mem::SlotPool).
 //
 // Steady-state dispatch passes events by value on the stack, but every place
 // that needs a *heap* event — deferred delivery, cross-thread hand-off,
 // batched executors, test drivers — goes through acquire_event() instead of
-// make_shared. Slots are recycled through a free list under
-// mem::MemBackend::kPool (poisoned 0xA5 while free, canary-checked on
-// reuse), and the attr flat vector keeps its capacity across tenants, so a
-// warm acquire/release cycle is allocation-free. Under kHeap the arena
-// degenerates to plain make_shared — the digest-parity oracle.
+// make_shared. The attr flat vector keeps its capacity across tenants.
 //
 // Unlike pbb::acquire_message, events come back *reset*: type
 // kInvalidEventType, no message, no attrs (Event::reset) — an event's

@@ -39,6 +39,7 @@ void FrameworkManager::register_unit(CfsUnit* unit, int layer) {
   check_unit_rules(hypothetical);
 
   registrations_.push_back(Registration{unit, layer, next_seq_++});
+  units_epoch_.fetch_add(1, std::memory_order_acq_rel);
   if (auto* proto = dynamic_cast<ManetProtocolCf*>(unit)) {
     proto->set_manager(this);
   }
@@ -58,6 +59,7 @@ void FrameworkManager::deregister_unit(CfsUnit* unit) {
   if (it == registrations_.end()) return;
   int layer = it->layer;
   registrations_.erase(it);
+  units_epoch_.fetch_add(1, std::memory_order_acq_rel);
   if (quarantined_.erase(unit) > 0) {
     quarantined_count_.store(quarantined_.size(), std::memory_order_release);
   }
@@ -79,6 +81,28 @@ std::vector<CfsUnit*> FrameworkManager::units() const {
   out.reserve(registrations_.size());
   for (const auto& r : registrations_) out.push_back(r.unit);
   return out;
+}
+
+ManetProtocolCf* FrameworkManager::find_protocol(std::string_view name) const {
+  auto lock = quiesce();
+  for (const auto& r : registrations_) {
+    auto* proto = dynamic_cast<ManetProtocolCf*>(r.unit);
+    if (proto != nullptr && proto->unit_name() == name) return proto;
+  }
+  return nullptr;
+}
+
+UnitRef::UnitRef(ManetProtocolCf* unit)
+    : manager_(unit == nullptr ? nullptr : unit->manager()), unit_(unit) {
+  if (manager_ != nullptr) {
+    name_ = unit->unit_name();
+    epoch_ = manager_->units_epoch();
+  }
+}
+
+void UnitRef::resolve() {
+  epoch_ = manager_->units_epoch();
+  unit_ = manager_->find_protocol(name_);
 }
 
 bool FrameworkManager::is_registered(const CfsUnit* unit) const {

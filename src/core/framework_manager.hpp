@@ -28,6 +28,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cfs.hpp"
@@ -54,6 +55,12 @@ class FrameworkManager : public oc::ComponentFramework {
   void deregister_unit(CfsUnit* unit);
   std::vector<CfsUnit*> units() const;
   bool is_registered(const CfsUnit* unit) const;
+  /// The registered protocol unit named `name`, or null.
+  ManetProtocolCf* find_protocol(std::string_view name) const;
+  /// Moves on every (de)registration, so cached lookups know to re-resolve.
+  std::uint64_t units_epoch() const {
+    return units_epoch_.load(std::memory_order_acquire);
+  }
 
   /// Deployment-level integrity rule, e.g. "at most one reactive protocol".
   using UnitRule =
@@ -139,6 +146,7 @@ class FrameworkManager : public oc::ComponentFramework {
   void check_unit_rules(const std::vector<CfsUnit*>& hypothetical) const;
 
   std::vector<Registration> registrations_;
+  std::atomic<std::uint64_t> units_epoch_{0};
   std::set<const CfsUnit*> quarantined_;
   // Mirrors quarantined_.size(); lets dispatch() skip the lock entirely in
   // the (overwhelmingly common) no-quarantine case.
@@ -158,6 +166,29 @@ class FrameworkManager : public oc::ComponentFramework {
   obs::Counter* routed_ctr_ = nullptr;
   obs::Counter* dispatch_ctr_ = nullptr;
   obs::Counter* quarantine_drop_ctr_ = nullptr;
+};
+
+/// A cross-CF reference to a co-deployed protocol (OLSR's view of the MPR
+/// CF) that follows it through replacement: it re-resolves the unit's name
+/// only after the manager's unit set changed, so a use costs one atomic
+/// load. Null while no such unit is registered; a unit without a manager
+/// (handler-level tests) is held as is.
+class UnitRef {
+ public:
+  explicit UnitRef(ManetProtocolCf* unit);
+
+  ManetProtocolCf* get() {
+    if (manager_ != nullptr && manager_->units_epoch() != epoch_) resolve();
+    return unit_;
+  }
+
+ private:
+  void resolve();
+
+  FrameworkManager* manager_ = nullptr;
+  std::string name_;
+  std::uint64_t epoch_ = 0;
+  ManetProtocolCf* unit_ = nullptr;
 };
 
 }  // namespace mk::core

@@ -1,12 +1,10 @@
-// Recycled frame payload buffers.
+// Recycled frame payload buffers ("net.payload", a mem::SlotPool).
 //
 // A control transmission serializes into a PayloadBuffer that is then shared
 // immutably by every in-flight copy of the frame (see frame.hpp). Acquiring
 // the buffer here instead of make_shared recycles both the byte buffer
 // (capacity preserved across tenants, serialize_into style) and the
-// shared_ptr control block, so a warm transmission allocates nothing. Under
-// mem::MemBackend::kHeap this degenerates to a fresh heap buffer (the
-// conformance oracle).
+// shared_ptr control block, so a warm transmission allocates nothing.
 #pragma once
 
 #include <cstdint>

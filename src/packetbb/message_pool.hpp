@@ -1,20 +1,15 @@
-// Pooled PacketBB message bodies.
+// Pooled PacketBB message bodies ("pbb.message", a mem::SlotPool).
 //
 // Every shared message in the event hot path (Event::set_msg, the COW clone
 // in Event::mutable_msg, the System CF's RX demux) funnels through
-// acquire_message(), which recycles Message slots through a free list under
-// mem::MemBackend::kPool and degenerates to plain make_shared under kHeap
-// (the conformance oracle).
+// acquire_message().
 //
 // Recycled slots follow the serialize_into buffer-recycling discipline: the
 // scalar shell is reset (and poisoned 0xA5 while free), but the nested
 // tlvs/addr_blocks vectors keep their element count AND capacity from the
 // previous tenant — "stale warm". A caller must therefore fully overwrite
 // the message (copy-assign from a parsed scratch, or a *_into builder that
-// slot-fills and trims every vector) before the message escapes. Handles are
-// plain shared_ptr: the custom deleter returns the slot to the pool and the
-// control block itself comes from the mem::BlockAllocator free lists, so a
-// warm acquire/release cycle performs zero heap allocations.
+// slot-fills and trims every vector) before the message escapes.
 #pragma once
 
 #include <cstddef>

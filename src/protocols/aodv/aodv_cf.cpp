@@ -6,43 +6,17 @@
 #include "protocols/wire.hpp"
 #include "util/assert.hpp"
 #include "util/bytebuffer.hpp"
-#include "util/log.hpp"
 
 namespace mk::proto {
 
 namespace {
 
-using core::attrs::kDest;
-using core::attrs::kNeighbor;
-using core::attrs::kNextHop;
 using core::attrs::kUnicastTo;
-using core::attrs::kUp;
 
 AodvState& aodv_state_of(core::ProtocolContext& ctx) {
   auto* s = dynamic_cast<AodvState*>(ctx.state());
   MK_ASSERT(s != nullptr, "AODV CF has no AodvState S element");
   return *s;
-}
-
-void install_route(core::ProtocolContext& ctx, net::Addr dest,
-                   net::Addr next_hop, std::uint8_t hops) {
-  if (ctx.sys() == nullptr) return;
-  net::RouteEntry entry;
-  entry.dest = dest;
-  entry.next_hop = next_hop;
-  entry.metric = hops;
-  entry.installed_at = ctx.now();
-  ctx.sys()->kernel_table().set_route(entry);
-}
-
-void remove_route(core::ProtocolContext& ctx, net::Addr dest) {
-  if (ctx.sys() != nullptr) ctx.sys()->kernel_table().remove_route(dest);
-}
-
-void emit_route_found(core::ProtocolContext& ctx, net::Addr dest) {
-  ev::Event e(ev::types::ROUTE_FOUND);
-  e.set_int(kDest, dest);
-  ctx.emit(std::move(e));
 }
 
 pbb::Message build_rreq(AodvState& st, net::Addr self, net::Addr target,
@@ -82,8 +56,7 @@ pbb::Message build_rrep(net::Addr dest, std::uint16_t dest_seq,
   return m;
 }
 
-pbb::Message build_rerr(
-    const std::vector<std::pair<net::Addr, std::uint16_t>>& unreachable) {
+pbb::Message build_rerr(const reactive::Unreachable& unreachable) {
   pbb::Message m;
   m.type = wire::kMsgAodvRerr;
   m.has_hops = true;
@@ -97,13 +70,34 @@ pbb::Message build_rerr(
   return m;
 }
 
-void send_rreq_for(core::ProtocolContext& ctx, net::Addr target,
-                   const AodvParams& params) {
-  AodvState& st = aodv_state_of(ctx);
-  ev::Event e(ev::etype(ev::types::AODV_OUT));
-  e.set_msg(build_rreq(st, ctx.self(), target, params));
-  ctx.emit(std::move(e));
+void emit(core::ProtocolContext& ctx, pbb::Message msg,
+          net::Addr unicast_to = net::kNoAddr) {
+  ev::Event out(ev::etype(ev::types::AODV_OUT));
+  out.set_msg(std::move(msg));
+  if (unicast_to != net::kNoAddr) out.set_int(kUnicastTo, unicast_to);
+  ctx.emit(std::move(out));
 }
+
+/// AODV's plug-in into the reactive skeleton: RREQs with an RREQ-id and the
+/// last known destination seq, and hop-by-hop RERRs.
+class AodvEmitter final : public reactive::Emitter {
+ public:
+  explicit AodvEmitter(AodvParams params) : Emitter("aodv"), params_(params) {}
+
+  void send_rreq(core::ProtocolContext& ctx, net::Addr target) override {
+    emit(ctx, build_rreq(aodv_state_of(ctx), ctx.self(), target, params_));
+  }
+
+  void send_rerr(core::ProtocolContext& ctx,
+                 const reactive::Unreachable& lost) override {
+    pbb::Message m = build_rerr(lost);
+    ctx.metrics().counter("aodv.rerr_out").inc();
+    emit(ctx, std::move(m));
+  }
+
+ private:
+  AodvParams params_;
+};
 
 /// RREQ / RREP / RERR processing, demultiplexed on the PacketBB type.
 class AodvHandler final : public core::EventHandler {
@@ -144,22 +138,11 @@ class AodvHandler final : public core::EventHandler {
     return soft_;
   }
 
-  void learn(core::ProtocolContext& ctx, net::Addr dest, std::uint16_t seq,
-             bool seq_valid, net::Addr next_hop, std::uint8_t hops) {
-    if (dest == ctx.self()) return;
-    AodvState& st = aodv_state_of(ctx);
-    if (st.update_route(dest, seq, seq_valid, next_hop, hops, ctx.now(),
-                        params_.active_route_timeout)) {
-      install_route(ctx, dest, next_hop, hops);
-      st.finish_pending(dest);
-      if (auto* s = soft(ctx)) s->drop(aodv_sets::kPending, dest);
-      emit_route_found(ctx, dest);
-    }
-    // Track the deadline even when the update was a same-info refresh
-    // (update_route extends the lifetime without reporting change).
-    if (auto r = st.route_to(dest)) {
-      if (auto* s = soft(ctx)) s->touch_at(aodv_sets::kRoute, dest, r->expires);
-    }
+  void learn(core::ProtocolContext& ctx, const pbb::Message& msg,
+             net::Addr from) {
+    reactive::accept(ctx, soft(ctx), *msg.originator, *msg.seqnum, from,
+                     static_cast<std::uint8_t>(msg.hop_count + 1),
+                     params_.active_route_timeout);
   }
 
   void on_rreq(const ev::Event& event, core::ProtocolContext& ctx) {
@@ -174,8 +157,7 @@ class AodvHandler final : public core::EventHandler {
     AodvState& st = aodv_state_of(ctx);
 
     // Reverse route to the originator.
-    learn(ctx, *msg.originator, *msg.seqnum, true, event.from,
-          static_cast<std::uint8_t>(msg.hop_count + 1));
+    learn(ctx, msg, event.from);
 
     // Every sighting refreshes the tuple's holding time.
     bool dup = st.check_rreq_seen(*msg.originator, id_tlv->as_u32(), ctx.now());
@@ -197,11 +179,9 @@ class AodvHandler final : public core::EventHandler {
         }
       }
       st.bump_seq();
-      ev::Event out(ev::etype(ev::types::AODV_OUT));
-      out.set_msg(build_rrep(ctx.self(), st.own_seq(), *msg.originator, 0,
-                             params_));
-      out.set_int(kUnicastTo, event.from);
-      ctx.emit(std::move(out));
+      emit(ctx, build_rrep(ctx.self(), st.own_seq(), *msg.originator, 0,
+                           params_),
+           event.from);
       return;
     }
 
@@ -212,11 +192,9 @@ class AodvHandler final : public core::EventHandler {
             route->dest_seq -
             static_cast<std::uint16_t>(want_seq->as_u32())) >= 0) {
       st.add_precursor(target, event.from);
-      ev::Event out(ev::etype(ev::types::AODV_OUT));
-      out.set_msg(build_rrep(target, route->dest_seq, *msg.originator,
-                             route->hops, params_));
-      out.set_int(kUnicastTo, event.from);
-      ctx.emit(std::move(out));
+      emit(ctx, build_rrep(target, route->dest_seq, *msg.originator,
+                           route->hops, params_),
+           event.from);
       return;
     }
 
@@ -234,8 +212,7 @@ class AodvHandler final : public core::EventHandler {
     if (msg.addr_blocks.empty() || msg.addr_blocks[0].addrs.empty()) return;
 
     // Forward route to the destination that answered.
-    learn(ctx, *msg.originator, *msg.seqnum, true, event.from,
-          static_cast<std::uint8_t>(msg.hop_count + 1));
+    learn(ctx, msg, event.from);
 
     net::Addr rreq_origin = msg.addr_blocks[0].addrs[0];
     if (rreq_origin == ctx.self()) return;  // discovery complete
@@ -256,118 +233,11 @@ class AodvHandler final : public core::EventHandler {
   }
 
   void on_rerr(const ev::Event& event, core::ProtocolContext& ctx) {
-    const pbb::Message& msg = *event.msg();
-    AodvState& st = aodv_state_of(ctx);
-    std::vector<std::pair<net::Addr, std::uint16_t>> propagate;
-    for (const auto& block : msg.addr_blocks) {
-      for (std::size_t i = 0; i < block.addrs.size(); ++i) {
-        net::Addr dest = block.addrs[i];
-        auto route = st.route_to(dest);
-        if (!route || !route->valid || route->next_hop != event.from) continue;
-        if (auto seq = st.invalidate(dest)) {
-          remove_route(ctx, dest);
-          propagate.emplace_back(dest, *seq);
-        }
-      }
-    }
-    if (!propagate.empty()) {
-      ev::Event out(ev::etype(ev::types::AODV_OUT));
-      out.set_msg(build_rerr(propagate));
-      ctx.emit(std::move(out));
-    }
+    reactive::Unreachable propagate =
+        reactive::invalidate_reported(ctx, *event.msg(), event.from);
+    if (!propagate.empty()) emit(ctx, build_rerr(propagate));
   }
 
-  AodvParams params_;
-};
-
-class AodvNoRouteHandler final : public core::EventHandler {
- public:
-  explicit AodvNoRouteHandler(AodvParams params)
-      : core::EventHandler("aodv.NoRouteHandler", {ev::types::NO_ROUTE}),
-        params_(params) {
-    set_instance_name("NoRouteHandler");
-  }
-
-  void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
-    auto dest = static_cast<net::Addr>(event.get_int(kDest));
-    if (dest == net::kNoAddr) return;
-    AodvState& st = aodv_state_of(ctx);
-    auto route = st.route_to(dest);
-    if (route && route->valid) {
-      emit_route_found(ctx, dest);
-      return;
-    }
-    if (st.has_pending(dest)) return;
-    st.start_pending(dest, ctx.now(), params_.rreq_wait);
-    if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-    if (soft_ != nullptr) {
-      soft_->touch_at(aodv_sets::kPending, dest, ctx.now() + params_.rreq_wait);
-    }
-    ctx.metrics().counter("aodv.discoveries").inc();
-    send_rreq_for(ctx, dest, params_);
-  }
-
- private:
-  AodvParams params_;
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
-};
-
-class AodvRouteUpdateHandler final : public core::EventHandler {
- public:
-  explicit AodvRouteUpdateHandler(AodvParams params)
-      : core::EventHandler("aodv.RouteUpdateHandler",
-                           {ev::types::ROUTE_UPDATE}),
-        params_(params) {
-    set_instance_name("RouteUpdateHandler");
-  }
-
-  void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
-    auto dest = static_cast<net::Addr>(event.get_int(kDest));
-    AodvState& st = aodv_state_of(ctx);
-    st.extend_lifetime(dest, ctx.now(), params_.active_route_timeout);
-    if (auto r = st.route_to(dest)) {
-      if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-      if (soft_ != nullptr) {
-        soft_->touch_at(aodv_sets::kRoute, dest, r->expires);
-      }
-    }
-  }
-
- private:
-  AodvParams params_;
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
-};
-
-class AodvInvalidationHandler final : public core::EventHandler {
- public:
-  explicit AodvInvalidationHandler(AodvParams params)
-      : core::EventHandler("aodv.InvalidationHandler",
-                           {ev::types::SEND_ROUTE_ERR, ev::types::NHOOD_CHANGE}),
-        params_(params) {
-    set_instance_name("InvalidationHandler");
-  }
-
-  void handle(const ev::Event& event, core::ProtocolContext& ctx) override {
-    net::Addr hop = net::kNoAddr;
-    if (event.type() == ev::etype(ev::types::SEND_ROUTE_ERR)) {
-      hop = static_cast<net::Addr>(event.get_int(kNextHop));
-    } else {
-      if (event.get_int(kUp, 1) != 0) return;
-      hop = static_cast<net::Addr>(event.get_int(kNeighbor));
-    }
-    if (hop == net::kNoAddr) return;
-    AodvState& st = aodv_state_of(ctx);
-    auto unreachable = st.invalidate_via(hop);
-    for (const auto& [dest, _] : unreachable) remove_route(ctx, dest);
-    if (!unreachable.empty()) {
-      ev::Event out(ev::etype(ev::types::AODV_OUT));
-      out.set_msg(build_rerr(unreachable));
-      ctx.metrics().counter("aodv.rerr_out").inc();
-      ctx.emit(std::move(out));
-    }
-  }
-
- private:
   AodvParams params_;
 };
 
@@ -402,7 +272,6 @@ class PiggybackBridge final : public oc::Component {
         ++n;
       }
       if (n == 0) return std::nullopt;
-      if (n == 0) return std::nullopt;
       return pbb::Tlv{wire::kTlvPiggyback, w.take()};
     });
 
@@ -428,12 +297,12 @@ class PiggybackBridge final : public oc::Component {
               if (st->update_route(dest, seq, true, from,
                                    static_cast<std::uint8_t>(hops + 1),
                                    ctx.now(), params_copy.active_route_timeout)) {
-                install_route(ctx, dest, from,
-                              static_cast<std::uint8_t>(hops + 1));
+                reactive::install_route(ctx, dest, from,
+                                        static_cast<std::uint8_t>(hops + 1));
               }
               if (soft != nullptr) {
-                if (auto learned = st->route_to(dest)) {
-                  soft->touch_at(aodv_sets::kRoute, dest, learned->expires);
+                if (auto deadline = st->route_expiry(dest)) {
+                  soft->touch_at(aodv_sets::kRoute, dest, *deadline);
                 }
               }
             }
@@ -471,49 +340,19 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
   // (seqnum memory), then lets the second lapse delete it.
   auto soft = std::make_unique<core::SoftExpiry>();
   core::ManetProtocolCf* raw = cf.get();
-  soft->define_set(
-      "aodv.route", params.active_route_timeout,
+  auto emitter = std::make_shared<AodvEmitter>(params);
+  reactive::define_sets(
+      *soft, *cf, emitter, params.active_route_timeout, params.rreq_wait,
       [](std::uint64_t key, core::ProtocolContext& ctx) {
-        AodvState& st = aodv_state_of(ctx);
         auto dest = static_cast<net::Addr>(key);
         bool invalidated = false;
-        auto next = st.expire_one(dest, ctx.now(), invalidated);
-        if (invalidated) remove_route(ctx, dest);
+        auto next = aodv_state_of(ctx).expire_one(dest, ctx.now(), invalidated);
+        if (invalidated) reactive::remove_route(ctx, dest);
         if (next) {
           if (auto* s = core::soft_expiry_of(ctx)) {
             s->touch_at(aodv_sets::kRoute, dest, *next);
           }
         }
-      },
-      [raw]() {
-        std::vector<std::uint64_t> keys;
-        if (AodvState* st = aodv_state(*raw)) {
-          for (const auto& [dest, _] : st->all_routes()) keys.push_back(dest);
-        }
-        return keys;
-      });
-  soft->define_set(
-      "aodv.pending", params.rreq_wait,
-      [params](std::uint64_t key, core::ProtocolContext& ctx) {
-        AodvState& st = aodv_state_of(ctx);
-        auto dest = static_cast<net::Addr>(key);
-        bool had = st.has_pending(dest);
-        if (auto next = st.retry_pending(dest, ctx.now())) {
-          send_rreq_for(ctx, dest, params);
-          if (auto* s = core::soft_expiry_of(ctx)) {
-            s->touch_at(aodv_sets::kPending, dest, *next);
-          }
-        } else if (had) {
-          MK_DEBUG("aodv", "discovery for ", pbb::addr_to_string(dest),
-                   " gave up after ", int{AodvState::kMaxTries}, " tries");
-        }
-      },
-      [raw]() {
-        std::vector<std::uint64_t> keys;
-        if (AodvState* st = aodv_state(*raw)) {
-          for (net::Addr dest : st->pending_dests()) keys.push_back(dest);
-        }
-        return keys;
       });
   soft->define_set(
       "aodv.rreq_id", params.rreq_id_hold,
@@ -534,9 +373,12 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
   cf->add_source(std::move(soft));
 
   cf->add_handler(std::make_unique<AodvHandler>(params));
-  cf->add_handler(std::make_unique<AodvNoRouteHandler>(params));
-  cf->add_handler(std::make_unique<AodvRouteUpdateHandler>(params));
-  cf->add_handler(std::make_unique<AodvInvalidationHandler>(params));
+  cf->add_handler(std::make_unique<reactive::NoRouteHandler>(
+      "aodv.NoRouteHandler", params.rreq_wait, emitter));
+  cf->add_handler(std::make_unique<reactive::RouteUpdateHandler>(
+      "aodv.RouteUpdateHandler", params.active_route_timeout));
+  cf->add_handler(std::make_unique<reactive::InvalidationHandler>(
+      "aodv.InvalidationHandler", "InvalidationHandler", emitter));
 
   if (params.piggyback_routes) {
     if (auto* table =
@@ -564,19 +406,6 @@ void register_aodv(core::Manetkit& kit, AodvParams params) {
 
 AodvState* aodv_state(core::ManetProtocolCf& cf) {
   return dynamic_cast<AodvState*>(cf.state_component());
-}
-
-void aodv_discover(core::ManetProtocolCf& cf, net::Addr target,
-                   AodvParams params) {
-  auto lock = cf.quiesce();
-  auto& ctx = cf.context();
-  AodvState& st = aodv_state_of(ctx);
-  if (st.has_pending(target)) return;
-  st.start_pending(target, ctx.now(), params.rreq_wait);
-  if (auto* soft = core::soft_expiry_of(ctx)) {
-    soft->touch_at(aodv_sets::kPending, target, ctx.now() + params.rreq_wait);
-  }
-  send_rreq_for(ctx, target, params);
 }
 
 }  // namespace mk::proto

@@ -14,6 +14,10 @@
 // AODV_IN/AODV_OUT pair, demultiplexed by PacketBB message type inside the
 // handlers — demonstrating that the framework does not force one event type
 // per message kind.
+//
+// Everything else is the reactive skeleton shared with DYMO
+// (protocols/reactive.hpp), driven by AODV's S element and RREQ/RERR
+// emitter.
 #pragma once
 
 #include <memory>
@@ -36,8 +40,8 @@ struct AodvParams {
 /// Soft-state set ids of the AODV CF, fixed by definition order in
 /// build_aodv_cf.
 namespace aodv_sets {
-inline constexpr core::ISoftExpiry::SetId kRoute = 0;
-inline constexpr core::ISoftExpiry::SetId kPending = 1;
+inline constexpr core::ISoftExpiry::SetId kRoute = reactive::kRouteSet;
+inline constexpr core::ISoftExpiry::SetId kPending = reactive::kPendingSet;
 inline constexpr core::ISoftExpiry::SetId kRreqId = 2;
 }  // namespace aodv_sets
 
@@ -55,8 +59,5 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
 void register_aodv(core::Manetkit& kit, AodvParams params = {});
 
 AodvState* aodv_state(core::ManetProtocolCf& cf);
-
-void aodv_discover(core::ManetProtocolCf& cf, net::Addr target,
-                   AodvParams params = {});
 
 }  // namespace mk::proto

@@ -12,12 +12,7 @@ bool seq_newer(std::uint16_t a, std::uint16_t b) {
 
 }  // namespace
 
-AodvState::AodvState() : oc::Component("aodv.AodvState") {
-  set_instance_name("State");
-  provide("IAodvState", static_cast<IAodvState*>(this));
-  provide("IState", static_cast<core::IState*>(this));
-  provide("IStateCodec", static_cast<core::IStateCodec*>(this));
-}
+AodvState::AodvState() : RouteTable("aodv.AodvState", kMaxTries) {}
 
 bool AodvState::update_route(net::Addr dest, std::uint16_t seq, bool seq_valid,
                              net::Addr next_hop, std::uint8_t hops,
@@ -53,57 +48,6 @@ void AodvState::add_precursor(net::Addr dest, net::Addr precursor) {
   if (it != routes_.end()) it->second.precursors.insert(precursor);
 }
 
-std::vector<std::pair<net::Addr, std::uint16_t>> AodvState::invalidate_via(
-    net::Addr next_hop) {
-  std::vector<std::pair<net::Addr, std::uint16_t>> out;
-  for (auto& [dest, r] : routes_) {
-    if (r.valid && r.next_hop == next_hop) {
-      r.valid = false;
-      ++r.dest_seq;  // RFC 3561 §6.11: increment on invalidation
-      out.emplace_back(dest, r.dest_seq);
-    }
-  }
-  return out;
-}
-
-std::optional<std::uint16_t> AodvState::invalidate(net::Addr dest) {
-  auto it = routes_.find(dest);
-  if (it == routes_.end() || !it->second.valid) return std::nullopt;
-  it->second.valid = false;
-  ++it->second.dest_seq;
-  return it->second.dest_seq;
-}
-
-void AodvState::extend_lifetime(net::Addr dest, TimePoint now,
-                                Duration lifetime) {
-  auto it = routes_.find(dest);
-  if (it != routes_.end() && it->second.valid) {
-    it->second.expires = now + lifetime;
-  }
-}
-
-std::vector<net::Addr> AodvState::expire(TimePoint now) {
-  std::vector<net::Addr> out;
-  for (auto it = routes_.begin(); it != routes_.end();) {
-    AodvRoute& r = it->second;
-    if (r.expires >= now) {
-      ++it;
-      continue;
-    }
-    if (r.valid) {
-      // Phase 1: stop using it, keep the seqnum memory for DELETE_PERIOD.
-      r.valid = false;
-      ++r.dest_seq;
-      r.expires = now + kAodvDeletePeriod;
-      out.push_back(it->first);
-      ++it;
-    } else {
-      it = routes_.erase(it);
-    }
-  }
-  return out;
-}
-
 std::optional<TimePoint> AodvState::expire_one(net::Addr dest, TimePoint now,
                                                bool& invalidated) {
   invalidated = false;
@@ -123,12 +67,6 @@ std::optional<TimePoint> AodvState::expire_one(net::Addr dest, TimePoint now,
   return std::nullopt;
 }
 
-std::optional<AodvRoute> AodvState::route_to(net::Addr dest) const {
-  auto it = routes_.find(dest);
-  if (it == routes_.end()) return std::nullopt;
-  return it->second;
-}
-
 bool AodvState::check_rreq_seen(net::Addr origin, std::uint32_t rreq_id,
                                 TimePoint now) {
   auto [it, inserted] = rreq_seen_.emplace(std::make_pair(origin, rreq_id), now);
@@ -143,61 +81,6 @@ void AodvState::expire_rreq_cache(TimePoint now, Duration hold) {
   for (auto it = rreq_seen_.begin(); it != rreq_seen_.end();) {
     it = (now - it->second > hold) ? rreq_seen_.erase(it) : std::next(it);
   }
-}
-
-bool AodvState::has_pending(net::Addr dest) const {
-  return pending_.find(dest) != pending_.end();
-}
-
-void AodvState::start_pending(net::Addr dest, TimePoint now, Duration wait) {
-  pending_[dest] = Pending{1, now + wait, wait};
-}
-
-std::vector<net::Addr> AodvState::due_retries(TimePoint now,
-                                              std::vector<net::Addr>& gave_up) {
-  std::vector<net::Addr> retry;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    Pending& p = it->second;
-    if (p.next_retry > now) {
-      ++it;
-      continue;
-    }
-    if (p.tries >= kMaxTries) {
-      gave_up.push_back(it->first);
-      it = pending_.erase(it);
-      continue;
-    }
-    ++p.tries;
-    p.backoff = p.backoff * 2;
-    p.next_retry = now + p.backoff;
-    retry.push_back(it->first);
-    ++it;
-  }
-  return retry;
-}
-
-std::optional<TimePoint> AodvState::retry_pending(net::Addr dest,
-                                                  TimePoint now) {
-  auto it = pending_.find(dest);
-  if (it == pending_.end()) return std::nullopt;
-  Pending& p = it->second;
-  if (p.tries >= kMaxTries) {
-    pending_.erase(it);
-    return std::nullopt;
-  }
-  ++p.tries;
-  p.backoff = p.backoff * 2;
-  p.next_retry = now + p.backoff;
-  return p.next_retry;
-}
-
-void AodvState::finish_pending(net::Addr dest) { pending_.erase(dest); }
-
-std::vector<net::Addr> AodvState::pending_dests() const {
-  std::vector<net::Addr> out;
-  out.reserve(pending_.size());
-  for (const auto& [dest, _] : pending_) out.push_back(dest);
-  return out;
 }
 
 bool AodvState::drop_rreq_seen(net::Addr origin, std::uint32_t rreq_id_low24) {
@@ -311,7 +194,7 @@ void AodvState::reset_state() {
   own_seq_ = 1;
   rreq_id_ = 0;
   rreq_seen_.clear();
-  pending_.clear();
+  clear_pending();
 }
 
 std::string AodvState::describe() const {

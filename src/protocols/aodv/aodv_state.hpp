@@ -1,6 +1,6 @@
 // S element of the AODV CF (RFC 3561 core): routing table with destination
-// sequence numbers and precursor lists, RREQ-ID duplicate cache, and the
-// pending-discovery table.
+// sequence numbers and precursor lists, and the RREQ-ID duplicate cache. The
+// pending-discovery table comes from the reactive skeleton's base.
 #pragma once
 
 #include <cstdint>
@@ -11,10 +11,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/ifaces.hpp"
-#include "core/state_codec.hpp"
 #include "net/address.hpp"
-#include "opencom/component.hpp"
+#include "protocols/reactive.hpp"
 #include "util/time.hpp"
 
 namespace mk::proto {
@@ -28,6 +26,13 @@ struct AodvRoute {
   bool valid = true;
   TimePoint expires{};
   std::set<net::Addr> precursors;
+
+  net::Addr via() const { return next_hop; }
+  /// RFC 3561 §6.11: invalidation increments dest_seq, which is reported.
+  std::uint16_t invalidate() {
+    valid = false;
+    return ++dest_seq;
+  }
 };
 
 /// How long an expired/invalidated entry is retained (sequence-number
@@ -35,15 +40,7 @@ struct AodvRoute {
 /// lets stale same-sequence adverts re-form loops.
 inline constexpr Duration kAodvDeletePeriod = sec(15);
 
-struct IAodvState : oc::Interface {
-  virtual std::optional<AodvRoute> route_to(net::Addr dest) const = 0;
-  virtual std::size_t route_count() const = 0;
-};
-
-class AodvState : public oc::Component,
-                  public core::IState,
-                  public core::IStateCodec,
-                  public IAodvState {
+class AodvState : public reactive::RouteTable<AodvRoute> {
  public:
   AodvState();
 
@@ -52,18 +49,16 @@ class AodvState : public oc::Component,
   bool update_route(net::Addr dest, std::uint16_t seq, bool seq_valid,
                     net::Addr next_hop, std::uint8_t hops, TimePoint now,
                     Duration lifetime);
+  /// The skeleton's learn step: sequence numbers from RREQ/RREP originators
+  /// are always known.
+  bool update_route(net::Addr dest, std::uint16_t seq, net::Addr next_hop,
+                    std::uint8_t hops, TimePoint now,
+                    Duration lifetime) override {
+    return update_route(dest, seq, true, next_hop, hops, now, lifetime);
+  }
 
   void add_precursor(net::Addr dest, net::Addr precursor);
 
-  std::vector<std::pair<net::Addr, std::uint16_t>> invalidate_via(
-      net::Addr next_hop);
-  std::optional<std::uint16_t> invalidate(net::Addr dest);
-  void extend_lifetime(net::Addr dest, TimePoint now, Duration lifetime);
-
-  /// Two-phase expiry (RFC 3561): lapsed *valid* routes become invalid (and
-  /// are returned for kernel-route removal, with their seqnum memory kept);
-  /// entries invalid for longer than kAodvDeletePeriod are finally deleted.
-  std::vector<net::Addr> expire(TimePoint now);
 
   /// Single-entry two-phase expiry (soft-state layer). Phase 1 — a *valid*
   /// entry lapsed: mark invalid, bump dest_seq, keep the seqnum memory for
@@ -73,10 +68,6 @@ class AodvState : public oc::Component,
   /// the future meanwhile, returns it untouched so the caller can re-arm.
   std::optional<TimePoint> expire_one(net::Addr dest, TimePoint now,
                                       bool& invalidated);
-
-  std::optional<AodvRoute> route_to(net::Addr dest) const override;
-  std::size_t route_count() const override { return routes_.size(); }
-  const std::map<net::Addr, AodvRoute>& all_routes() const { return routes_; }
 
   std::uint16_t own_seq() const { return own_seq_; }
   std::uint16_t bump_seq() { return ++own_seq_; }
@@ -93,19 +84,8 @@ class AodvState : public oc::Component,
   /// All live cache tuples (expiry re-seeding).
   std::vector<std::pair<net::Addr, std::uint32_t>> rreq_seen_entries() const;
 
-  // -- pending discoveries (same discipline as DYMO) ---------------------------
-  static constexpr std::uint8_t kMaxTries = 2;  // RREQ_RETRIES in RFC 3561
-  bool has_pending(net::Addr dest) const;
-  void start_pending(net::Addr dest, TimePoint now, Duration wait);
-  std::vector<net::Addr> due_retries(TimePoint now,
-                                     std::vector<net::Addr>& gave_up);
-  /// Advances one pending discovery whose retry deadline lapsed: bumps the
-  /// try-counter, doubles the backoff and returns the new retry deadline.
-  /// Returns nullopt if the discovery is absent or just gave up (dropped).
-  std::optional<TimePoint> retry_pending(net::Addr dest, TimePoint now);
-  void finish_pending(net::Addr dest);
-  /// Destinations with discoveries in flight (expiry re-seeding).
-  std::vector<net::Addr> pending_dests() const;
+  /// RREQ tries per discovery before giving up (RREQ_RETRIES in RFC 3561).
+  static constexpr std::uint8_t kMaxTries = 2;
 
   std::string describe() const override;
 
@@ -118,16 +98,9 @@ class AodvState : public oc::Component,
   void reset_state() override;
 
  private:
-  struct Pending {
-    std::uint8_t tries = 1;
-    TimePoint next_retry{};
-    Duration backoff{};
-  };
-  std::map<net::Addr, AodvRoute> routes_;
   std::uint16_t own_seq_ = 1;
   std::uint32_t rreq_id_ = 0;
   std::map<std::pair<net::Addr, std::uint32_t>, TimePoint> rreq_seen_;
-  std::map<net::Addr, Pending> pending_;
 };
 
 }  // namespace mk::proto

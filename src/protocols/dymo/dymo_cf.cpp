@@ -9,11 +9,7 @@ namespace mk::proto {
 
 namespace {
 
-using core::attrs::kDest;
-using core::attrs::kNeighbor;
-using core::attrs::kNextHop;
 using core::attrs::kUnicastTo;
-using core::attrs::kUp;
 
 DymoState& dymo_state_of(core::ProtocolContext& ctx) {
   auto* s = dynamic_cast<DymoState*>(ctx.state());
@@ -21,45 +17,59 @@ DymoState& dymo_state_of(core::ProtocolContext& ctx) {
   return *s;
 }
 
+/// Records `msg`'s (originator, seqnum) in the duplicate set, refreshing
+/// its holding time; true if it was already there.
+bool seen_before(const pbb::Message& msg, core::ProtocolContext& ctx,
+                 core::SoftExpiry* soft) {
+  bool dup = dymo_state_of(ctx).check_duplicate(*msg.originator, *msg.seqnum,
+                                                ctx.now());
+  if (soft != nullptr) {
+    soft->touch(dymo_sets::kDuplicate,
+                dymo_dup_key(*msg.originator, *msg.seqnum));
+  }
+  return dup;
+}
+
+/// DYMO's plug-in into the reactive skeleton: RM route requests and RERRs.
+/// Each invalidation handler owns one, so a replaced handler restarts its
+/// RERR sequence.
+class DymoEmitter final : public reactive::Emitter {
+ public:
+  explicit DymoEmitter(DymoParams params) : Emitter("dymo"), params_(params) {}
+
+  void send_rreq(core::ProtocolContext& ctx, net::Addr target) override {
+    ev::Event e(ev::etype("RM_OUT"));
+    e.set_msg(rm::build_rreq(ctx.self(), dymo_state_of(ctx).bump_seq(), target,
+                             params_.rreq_hop_limit));
+    ctx.emit(std::move(e));
+  }
+
+  void send_rerr(core::ProtocolContext& ctx,
+                 const reactive::Unreachable& lost) override {
+    ev::Event e(ev::etype("RERR_OUT"));
+    e.set_msg(rm::build_rerr(ctx.self(), rerr_seq_++, lost,
+                             params_.rerr_hop_limit));
+    ctx.metrics().counter("dymo.rerr_out").inc();
+    ctx.emit(std::move(e));
+  }
+
+ private:
+  DymoParams params_;
+  std::uint16_t rerr_seq_ = 1;
+};
+
 }  // namespace
-
-void dymo_emit_route_found(core::ProtocolContext& ctx, net::Addr dest) {
-  ev::Event e(ev::types::ROUTE_FOUND);
-  e.set_int(core::attrs::kDest, dest);
-  ctx.emit(std::move(e));
-}
-
-void dymo_send_rreq(core::ProtocolContext& ctx, net::Addr target,
-                    const DymoParams& params) {
-  DymoState& st = dymo_state_of(ctx);
-  ev::Event e(ev::etype("RM_OUT"));
-  e.set_msg(rm::build_rreq(ctx.self(), st.bump_seq(), target,
-                           params.rreq_hop_limit));
-  ctx.emit(std::move(e));
-}
-
-void dymo_install_kernel_route(core::ProtocolContext& ctx, net::Addr dest,
-                               net::Addr next_hop, std::uint8_t hops) {
-  if (ctx.sys() == nullptr) return;
-  net::RouteEntry entry;
-  entry.dest = dest;
-  entry.next_hop = next_hop;
-  entry.metric = hops;
-  entry.installed_at = ctx.now();
-  ctx.sys()->kernel_table().set_route(entry);
-}
-
-void dymo_remove_kernel_route(core::ProtocolContext& ctx, net::Addr dest) {
-  if (ctx.sys() == nullptr) return;
-  ctx.sys()->kernel_table().remove_route(dest);
-}
 
 // ------------------------------------------------------------------ RM codec
 
 namespace rm {
 
-pbb::Message build_rreq(net::Addr self, std::uint16_t own_seq, net::Addr target,
-                        std::uint8_t hop_limit) {
+namespace {
+
+/// An RM of `kind` addressed to `target`, with an empty path-accumulation
+/// block.
+pbb::Message build(Kind kind, net::Addr self, std::uint16_t own_seq,
+                   net::Addr target, std::uint8_t hop_limit) {
   pbb::Message m;
   m.type = wire::kMsgDymoRm;
   m.originator = self;
@@ -68,7 +78,7 @@ pbb::Message build_rreq(net::Addr self, std::uint16_t own_seq, net::Addr target,
   m.hop_limit = hop_limit;
   m.hop_count = 0;
   m.tlvs.push_back(
-      pbb::Tlv::u8(wire::kTlvRmKind, static_cast<std::uint8_t>(Kind::kRreq)));
+      pbb::Tlv::u8(wire::kTlvRmKind, static_cast<std::uint8_t>(kind)));
   pbb::AddressBlock target_block;
   target_block.addrs.push_back(target);
   m.addr_blocks.push_back(std::move(target_block));
@@ -76,22 +86,16 @@ pbb::Message build_rreq(net::Addr self, std::uint16_t own_seq, net::Addr target,
   return m;
 }
 
+}  // namespace
+
+pbb::Message build_rreq(net::Addr self, std::uint16_t own_seq, net::Addr target,
+                        std::uint8_t hop_limit) {
+  return build(Kind::kRreq, self, own_seq, target, hop_limit);
+}
+
 pbb::Message build_rrep(net::Addr self, std::uint16_t own_seq,
                         net::Addr rreq_origin, std::uint8_t hop_limit) {
-  pbb::Message m;
-  m.type = wire::kMsgDymoRm;
-  m.originator = self;
-  m.seqnum = own_seq;
-  m.has_hops = true;
-  m.hop_limit = hop_limit;
-  m.hop_count = 0;
-  m.tlvs.push_back(
-      pbb::Tlv::u8(wire::kTlvRmKind, static_cast<std::uint8_t>(Kind::kRrep)));
-  pbb::AddressBlock target_block;
-  target_block.addrs.push_back(rreq_origin);
-  m.addr_blocks.push_back(std::move(target_block));
-  m.addr_blocks.emplace_back();
-  return m;
+  return build(Kind::kRrep, self, own_seq, rreq_origin, hop_limit);
 }
 
 void append_self(pbb::Message& msg, net::Addr self, std::uint16_t seq) {
@@ -157,30 +161,11 @@ core::SoftExpiry* ReHandler::soft(core::ProtocolContext& ctx) {
 
 void ReHandler::learn(const ev::Event& event, core::ProtocolContext& ctx) {
   const pbb::Message& msg = *event.msg();
-  DymoState& st = dymo_state_of(ctx);
-  TimePoint now = ctx.now();
-
-  auto accept = [&](net::Addr dest, std::uint16_t seq, std::uint8_t hops) {
-    if (dest == ctx.self()) return;
-    if (st.update_route(dest, seq, event.from, hops, now,
-                        params_.route_lifetime)) {
-      dymo_install_kernel_route(ctx, dest, event.from, hops);
-      st.finish_pending(dest);
-      if (auto* s = soft(ctx)) s->drop(dymo_sets::kPending, dest);
-      dymo_emit_route_found(ctx, dest);
-    }
-    // Track the route's deadline even when the update was a same-info
-    // refresh (update_route extends the lifetime without reporting change).
-    if (auto r = st.route_to(dest)) {
-      if (auto* s = soft(ctx)) {
-        s->touch_at(dymo_sets::kRoute, dest, r->expires);
-      }
-    }
-  };
 
   // Route to the message originator via the previous hop.
-  accept(*msg.originator, *msg.seqnum,
-         static_cast<std::uint8_t>(msg.hop_count + 1));
+  reactive::accept(ctx, soft(ctx), *msg.originator, *msg.seqnum, event.from,
+                   static_cast<std::uint8_t>(msg.hop_count + 1),
+                   params_.route_lifetime);
 
   // Routes to every node on the accumulated path.
   if (msg.addr_blocks.size() >= 2) {
@@ -194,7 +179,8 @@ void ReHandler::learn(const ev::Event& event, core::ProtocolContext& ctx) {
       auto dist =
           static_cast<std::uint8_t>(msg.hop_count + 1 - node_hops);
       auto seq = static_cast<std::uint16_t>(seq_tlv->as_u32());
-      accept(path.addrs[i], seq, dist);
+      reactive::accept(ctx, soft(ctx), path.addrs[i], seq, event.from, dist,
+                       params_.route_lifetime);
     }
   }
 }
@@ -216,20 +202,25 @@ void ReHandler::send_rrep(const ev::Event& rreq_event,
   ctx.emit(std::move(out));
 }
 
-void ReHandler::on_duplicate_rreq_at_target(const ev::Event&,
-                                            core::ProtocolContext&) {}
-void ReHandler::on_duplicate_rreq(const ev::Event&, core::ProtocolContext&) {}
-
 bool ReHandler::should_relay_rreq(const ev::Event&, core::ProtocolContext&) {
   return true;
 }
 
-void ReHandler::on_rrep_at_origin(const ev::Event& event,
-                                  core::ProtocolContext& ctx) {
-  net::Addr dest = *event.msg()->originator;
-  dymo_state_of(ctx).finish_pending(dest);
-  if (auto* s = soft(ctx)) s->drop(dymo_sets::kPending, dest);
+namespace {
+
+/// Multipath DYMO (§5.2): records `event`'s previous hop as an alternate
+/// link-disjoint path to `dest`. False without a multipath S element, or if
+/// the path is not disjoint or the route is full.
+bool mine_alternate(const ev::Event& event, core::ProtocolContext& ctx,
+                    net::Addr dest) {
+  auto* st = dynamic_cast<MultipathDymoState*>(ctx.state());
+  return st != nullptr &&
+         st->add_alternate_path(
+             dest, event.from,
+             static_cast<std::uint8_t>(event.msg()->hop_count + 1));
 }
+
+}  // namespace
 
 void ReHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
   if (rm_in_ == nullptr) rm_in_ = &ctx.metrics().counter("dymo.rm_in");
@@ -246,20 +237,22 @@ void ReHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
   if (target == net::kNoAddr) return;
 
   if (rm::kind(msg) == rm::Kind::kRreq) {
-    bool dup = st.check_duplicate(*msg.originator, *msg.seqnum, ctx.now());
-    if (auto* s = soft(ctx)) {
-      s->touch(dymo_sets::kDuplicate, dymo_dup_key(*msg.originator, *msg.seqnum));
-    }
+    bool dup = seen_before(msg, ctx, soft(ctx));
     if (target == ctx.self()) {
-      if (dup) {
-        on_duplicate_rreq_at_target(event, ctx);
-      } else {
+      // A duplicate that yields an alternate reverse path is answered too,
+      // with the *same* sequence number, so the originator learns one RREP
+      // per disjoint approach direction (bounded by kMaxPaths).
+      if (!dup) {
         send_rrep(event, ctx);
+      } else if (mine_alternate(event, ctx, *msg.originator)) {
+        send_rrep(event, ctx, /*bump_seq=*/false);
       }
       return;
     }
     if (dup) {
-      on_duplicate_rreq(event, ctx);
+      // Keep an alternate reverse path; never rebroadcast (the first copy
+      // already did).
+      mine_alternate(event, ctx, *msg.originator);
       return;
     }
     if (msg.hop_limit <= 1) return;
@@ -276,7 +269,10 @@ void ReHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
 
   // RREP
   if (target == ctx.self()) {
-    on_rrep_at_origin(event, ctx);
+    // Discovery complete; later copies via a different first hop add
+    // alternate forward paths.
+    mine_alternate(event, ctx, *msg.originator);
+    reactive::end_discovery(st, soft(ctx), *msg.originator);
     return;
   }
   auto route = st.route_to(target);
@@ -295,109 +291,25 @@ void ReHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
   ctx.emit(std::move(out));
 }
 
-// --------------------------------------------------- RouteInvalidationHandler
+// ------------------------------------- skeleton handlers with DYMO plug-ins
 
 RouteInvalidationHandler::RouteInvalidationHandler(DymoParams params)
     : RouteInvalidationHandler("dymo.RouteInvalidationHandler", params) {}
 
 RouteInvalidationHandler::RouteInvalidationHandler(std::string type_name,
                                                    DymoParams params)
-    : core::EventHandler(std::move(type_name),
-                         {ev::types::SEND_ROUTE_ERR, ev::types::NHOOD_CHANGE}),
-      params_(params) {
-  set_instance_name("RouteErrHandler");
-}
-
-std::vector<std::pair<net::Addr, std::uint16_t>>
-RouteInvalidationHandler::fail_via(net::Addr hop, core::ProtocolContext& ctx) {
-  DymoState& st = dymo_state_of(ctx);
-  auto unreachable = st.invalidate_via(hop);
-  for (const auto& [dest, _] : unreachable) {
-    dymo_remove_kernel_route(ctx, dest);
-  }
-  return unreachable;
-}
-
-void RouteInvalidationHandler::broadcast_rerr(
-    const std::vector<std::pair<net::Addr, std::uint16_t>>& unreachable,
-    core::ProtocolContext& ctx) {
-  if (unreachable.empty()) return;
-  ev::Event e(ev::etype("RERR_OUT"));
-  e.set_msg(rm::build_rerr(ctx.self(), rerr_seq_++, unreachable,
-                           params_.rerr_hop_limit));
-  ctx.metrics().counter("dymo.rerr_out").inc();
-  ctx.emit(std::move(e));
-}
-
-void RouteInvalidationHandler::handle(const ev::Event& event,
-                                      core::ProtocolContext& ctx) {
-  net::Addr hop = net::kNoAddr;
-  if (event.type() == ev::etype(ev::types::SEND_ROUTE_ERR)) {
-    hop = static_cast<net::Addr>(event.get_int(kNextHop));
-  } else {  // NHOOD_CHANGE
-    if (event.get_int(kUp, 1) != 0) return;  // only link breaks matter
-    hop = static_cast<net::Addr>(event.get_int(kNeighbor));
-  }
-  if (hop == net::kNoAddr) return;
-  broadcast_rerr(fail_via(hop, ctx), ctx);
-}
-
-// ----------------------------------------------------------- other handlers
+    : reactive::InvalidationHandler(std::move(type_name), "RouteErrHandler",
+                                    std::make_shared<DymoEmitter>(params)) {}
 
 NoRouteHandler::NoRouteHandler(DymoParams params)
     : NoRouteHandler("dymo.NoRouteHandler", params) {}
 
 NoRouteHandler::NoRouteHandler(std::string type_name, DymoParams params)
-    : core::EventHandler(std::move(type_name), {ev::types::NO_ROUTE}),
-      params_(params) {
-  set_instance_name("NoRouteHandler");
-}
+    : reactive::NoRouteHandler(std::move(type_name), params.rreq_wait,
+                               std::make_shared<DymoEmitter>(params)) {}
 
-bool NoRouteHandler::try_local_knowledge(net::Addr, core::ProtocolContext&) {
-  return false;  // plain DYMO has no proactive knowledge
-}
-
-void NoRouteHandler::handle(const ev::Event& event,
-                            core::ProtocolContext& ctx) {
-  auto dest = static_cast<net::Addr>(event.get_int(kDest));
-  if (dest == net::kNoAddr) return;
-  DymoState& st = dymo_state_of(ctx);
-  auto route = st.route_to(dest);
-  if (route && route->valid) {
-    // Route already known (e.g. learned since the packet was buffered).
-    dymo_emit_route_found(ctx, dest);
-    return;
-  }
-  if (try_local_knowledge(dest, ctx)) return;
-  if (st.has_pending(dest)) return;  // discovery already in flight
-  st.start_pending(dest, ctx.now(), params_.rreq_wait);
-  if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-  if (soft_ != nullptr) {
-    soft_->touch_at(dymo_sets::kPending, dest, ctx.now() + params_.rreq_wait);
-  }
-  ctx.metrics().counter("dymo.discoveries").inc();
-  dymo_send_rreq(ctx, dest, params_);
-}
-
-RouteUpdateHandler::RouteUpdateHandler(DymoParams params)
-    : core::EventHandler("dymo.RouteUpdateHandler", {ev::types::ROUTE_UPDATE}),
-      params_(params) {
-  set_instance_name("RouteUpdateHandler");
-}
-
-void RouteUpdateHandler::handle(const ev::Event& event,
-                                core::ProtocolContext& ctx) {
-  auto dest = static_cast<net::Addr>(event.get_int(kDest));
-  DymoState& st = dymo_state_of(ctx);
-  st.extend_lifetime(dest, ctx.now(), params_.route_lifetime);
-  if (auto r = st.route_to(dest)) {
-    if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-    if (soft_ != nullptr) soft_->touch_at(dymo_sets::kRoute, dest, r->expires);
-  }
-}
-
-RerrHandler::RerrHandler(DymoParams params)
-    : core::EventHandler("dymo.RerrHandler", {"RERR_IN"}), params_(params) {
+RerrHandler::RerrHandler()
+    : core::EventHandler("dymo.RerrHandler", {"RERR_IN"}) {
   set_instance_name("RerrHandler");
 }
 
@@ -407,28 +319,11 @@ void RerrHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
     return;
   }
   const pbb::Message& msg = *event.msg();
-  DymoState& st = dymo_state_of(ctx);
-  bool dup = st.check_duplicate(*msg.originator, *msg.seqnum, ctx.now());
   if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-  if (soft_ != nullptr) {
-    soft_->touch(dymo_sets::kDuplicate,
-                 dymo_dup_key(*msg.originator, *msg.seqnum));
-  }
-  if (dup) return;
+  if (seen_before(msg, ctx, soft_)) return;
 
-  std::vector<std::pair<net::Addr, std::uint16_t>> still_unreachable;
-  for (const auto& block : msg.addr_blocks) {
-    for (std::size_t i = 0; i < block.addrs.size(); ++i) {
-      net::Addr dest = block.addrs[i];
-      auto route = st.route_to(dest);
-      if (!route || !route->valid || route->active() == nullptr) continue;
-      if (route->active()->next_hop != event.from) continue;
-      if (auto seq = st.invalidate(dest)) {
-        dymo_remove_kernel_route(ctx, dest);
-        still_unreachable.emplace_back(dest, *seq);
-      }
-    }
-  }
+  reactive::Unreachable still_unreachable =
+      reactive::invalidate_reported(ctx, msg, event.from);
   if (!still_unreachable.empty() && msg.has_hops && msg.hop_limit > 1) {
     ev::Event out(ev::etype("RERR_OUT"));
     out.set_msg(rm::build_rerr(ctx.self(), *msg.seqnum, still_unreachable,
@@ -459,43 +354,13 @@ std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
   // lifetime, and RREQ retries fire at their exact backoff deadline.
   auto soft = std::make_unique<core::SoftExpiry>();
   core::ManetProtocolCf* raw = cf.get();
-  soft->define_set(
-      "dymo.route", params.route_lifetime,
-      [](std::uint64_t key, core::ProtocolContext& ctx) {
+  reactive::define_sets(
+      *soft, *cf, std::make_shared<DymoEmitter>(params), params.route_lifetime,
+      params.rreq_wait, [](std::uint64_t key, core::ProtocolContext& ctx) {
         auto dest = static_cast<net::Addr>(key);
         if (dymo_state_of(ctx).drop_route(dest)) {
-          dymo_remove_kernel_route(ctx, dest);
+          reactive::remove_route(ctx, dest);
         }
-      },
-      [raw]() {
-        std::vector<std::uint64_t> keys;
-        if (DymoState* st = dymo_state(*raw)) {
-          for (const auto& [dest, _] : st->all_routes()) keys.push_back(dest);
-        }
-        return keys;
-      });
-  soft->define_set(
-      "dymo.pending", params.rreq_wait,
-      [params](std::uint64_t key, core::ProtocolContext& ctx) {
-        DymoState& st = dymo_state_of(ctx);
-        auto dest = static_cast<net::Addr>(key);
-        bool had = st.has_pending(dest);
-        if (auto next = st.retry_pending(dest, ctx.now())) {
-          dymo_send_rreq(ctx, dest, params);
-          if (auto* s = core::soft_expiry_of(ctx)) {
-            s->touch_at(dymo_sets::kPending, dest, *next);
-          }
-        } else if (had) {
-          MK_DEBUG("dymo", "discovery for ", pbb::addr_to_string(dest),
-                   " gave up after ", int{DymoState::kMaxTries}, " tries");
-        }
-      },
-      [raw]() {
-        std::vector<std::uint64_t> keys;
-        if (DymoState* st = dymo_state(*raw)) {
-          for (net::Addr dest : st->pending_dests()) keys.push_back(dest);
-        }
-        return keys;
       });
   soft->define_set(
       "dymo.duplicate", params.duplicate_hold,
@@ -517,9 +382,10 @@ std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
 
   cf->add_handler(std::make_unique<ReHandler>(params));
   cf->add_handler(std::make_unique<NoRouteHandler>(params));
-  cf->add_handler(std::make_unique<RouteUpdateHandler>(params));
+  cf->add_handler(std::make_unique<reactive::RouteUpdateHandler>(
+      "dymo.RouteUpdateHandler", params.route_lifetime));
   cf->add_handler(std::make_unique<RouteInvalidationHandler>(params));
-  cf->add_handler(std::make_unique<RerrHandler>(params));
+  cf->add_handler(std::make_unique<RerrHandler>());
 
   cf->declare_events(
       /*required=*/{"RM_IN", "RERR_IN", ev::types::NO_ROUTE,
@@ -540,19 +406,6 @@ void register_dymo(core::Manetkit& kit, DymoParams params) {
 
 DymoState* dymo_state(core::ManetProtocolCf& cf) {
   return dynamic_cast<DymoState*>(cf.state_component());
-}
-
-void dymo_discover(core::ManetProtocolCf& cf, net::Addr target,
-                   DymoParams params) {
-  auto lock = cf.quiesce();
-  auto& ctx = cf.context();
-  DymoState& st = dymo_state_of(ctx);
-  if (st.has_pending(target)) return;
-  st.start_pending(target, ctx.now(), params.rreq_wait);
-  if (auto* soft = core::soft_expiry_of(ctx)) {
-    soft->touch_at(dymo_sets::kPending, target, ctx.now() + params.rreq_wait);
-  }
-  dymo_send_rreq(ctx, target, params);
 }
 
 }  // namespace mk::proto

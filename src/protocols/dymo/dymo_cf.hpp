@@ -10,10 +10,12 @@
 // route and was buffered); ROUTE_UPDATE extends lifetimes on data-plane use;
 // SEND_ROUTE_ERR / NHOOD_CHANGE trigger invalidation + RERR. On successful
 // discovery DYMO emits ROUTE_FOUND, making NetLink re-inject the buffered
-// packets.
+// packets. Those three handlers, the pending-discovery table and the kernel
+// sync are the reactive skeleton (protocols/reactive.hpp) shared with AODV;
+// DYMO plugs in its S element and its RM/RERR emitter.
 //
 // The RE (routing element) handler and the invalidation handler are exported
-// so the multipath variant can subclass/replace them (§5.2).
+// so variants can subclass/replace them (§5.2).
 #pragma once
 
 #include <memory>
@@ -22,6 +24,7 @@
 #include "core/manetkit.hpp"
 #include "core/soft_state.hpp"
 #include "protocols/dymo/dymo_state.hpp"
+#include "protocols/reactive.hpp"
 #include "protocols/wire.hpp"
 
 namespace mk::proto {
@@ -37,8 +40,8 @@ struct DymoParams {
 /// Soft-state set ids of the DYMO CF (and its ZRP/multipath/gossip
 /// derivatives), fixed by definition order in build_dymo_cf.
 namespace dymo_sets {
-inline constexpr core::ISoftExpiry::SetId kRoute = 0;
-inline constexpr core::ISoftExpiry::SetId kPending = 1;
+inline constexpr core::ISoftExpiry::SetId kRoute = reactive::kRouteSet;
+inline constexpr core::ISoftExpiry::SetId kPending = reactive::kPendingSet;
 inline constexpr core::ISoftExpiry::SetId kDuplicate = 2;
 }  // namespace dymo_sets
 
@@ -72,7 +75,10 @@ pbb::Message build_rerr(net::Addr self, std::uint16_t seq,
 }  // namespace rm
 
 /// Core DYMO routing-element logic (RREQ/RREP processing with path
-/// accumulation). The multipath variant overrides the duplicate hooks.
+/// accumulation). Variants override the relaying decision. With a multipath
+/// S element installed, duplicate RREQs and later RREPs are mined for
+/// alternate link-disjoint paths instead of discarded, whatever relaying
+/// policy is plugged in.
 class ReHandler : public core::EventHandler {
  public:
   explicit ReHandler(DymoParams params);
@@ -82,28 +88,11 @@ class ReHandler : public core::EventHandler {
  protected:
   ReHandler(std::string type_name, DymoParams params);
 
-  /// A duplicate RREQ arrived at the *target*; default: discard.
-  virtual void on_duplicate_rreq_at_target(const ev::Event& event,
-                                           core::ProtocolContext& ctx);
-  /// A duplicate RREQ arrived at an *intermediate* node; default: discard.
-  virtual void on_duplicate_rreq(const ev::Event& event,
-                                 core::ProtocolContext& ctx);
-  /// An RREP arrived at the RREQ originator (route established). Default:
-  /// finish the pending discovery; the learning step already emitted
-  /// ROUTE_FOUND.
-  virtual void on_rrep_at_origin(const ev::Event& event,
-                                 core::ProtocolContext& ctx);
-
   /// Gate on rebroadcasting a fresh RREQ. Default: always relay (blind
   /// flooding). The optimised-flooding variant relays only when the
   /// previous hop selected this node as a multipoint relay.
   virtual bool should_relay_rreq(const ev::Event& event,
                                  core::ProtocolContext& ctx);
-
-  /// Learns routes from the message (originator + accumulated path) through
-  /// the previous hop. Installs kernel routes, finishes pending discoveries
-  /// and emits ROUTE_FOUND for each accepted destination.
-  void learn(const ev::Event& event, core::ProtocolContext& ctx);
 
   /// Replies to an RREQ. `bump_seq` = false replays the current sequence
   /// number — used when answering *duplicate* RREQs so the originator sees
@@ -116,92 +105,54 @@ class ReHandler : public core::EventHandler {
   core::SoftExpiry* soft(core::ProtocolContext& ctx);
 
   DymoParams params_;
-  obs::Counter* rm_in_ = nullptr;      // cached "dymo.rm_in"
-  obs::Counter* rrep_sent_ = nullptr;  // cached "dymo.rrep_sent"
 
  private:
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
+  /// Learns routes from the message (originator + accumulated path) through
+  /// the previous hop.
+  void learn(const ev::Event& event, core::ProtocolContext& ctx);
+
+  obs::Counter* rm_in_ = nullptr;      // cached "dymo.rm_in"
+  obs::Counter* rrep_sent_ = nullptr;  // cached "dymo.rrep_sent"
+  core::SoftExpiry* soft_ = nullptr;   // cached per composition epoch
 };
 
-/// Shared invalidation logic for SEND_ROUTE_ERR and NHOOD_CHANGE(down):
-/// invalidates routes through the broken hop and broadcasts a RERR. The
-/// multipath variant overrides fail_via() to switch to alternate paths
-/// first.
-class RouteInvalidationHandler : public core::EventHandler {
+/// Link-break invalidation (the reactive skeleton's handler) reporting in
+/// DYMO RERRs. The multipath variant overrides fail_via() to switch to
+/// alternate paths first.
+class RouteInvalidationHandler : public reactive::InvalidationHandler {
  public:
   explicit RouteInvalidationHandler(DymoParams params);
 
-  void handle(const ev::Event& event, core::ProtocolContext& ctx) override;
-
  protected:
   RouteInvalidationHandler(std::string type_name, DymoParams params);
-
-  /// Invalidates paths through `hop`; returns the (dest, seq) pairs that
-  /// became unreachable (to report in the RERR).
-  virtual std::vector<std::pair<net::Addr, std::uint16_t>> fail_via(
-      net::Addr hop, core::ProtocolContext& ctx);
-
-  void broadcast_rerr(
-      const std::vector<std::pair<net::Addr, std::uint16_t>>& unreachable,
-      core::ProtocolContext& ctx);
-
-  DymoParams params_;
-  std::uint16_t rerr_seq_ = 1;
 };
 
-/// NO_ROUTE from NetLink: start (or join) a route discovery. The zone-hybrid
-/// protocol overrides try_local_knowledge() to satisfy in-zone destinations
-/// proactively, without flooding.
-class NoRouteHandler : public core::EventHandler {
+/// NO_ROUTE (the reactive skeleton's handler) discovering with DYMO RREQs.
+/// The zone-hybrid protocol overrides try_local_knowledge() to satisfy
+/// in-zone destinations proactively, without flooding.
+class NoRouteHandler : public reactive::NoRouteHandler {
  public:
   explicit NoRouteHandler(DymoParams params);
 
-  void handle(const ev::Event& event, core::ProtocolContext& ctx) override;
-
  protected:
   NoRouteHandler(std::string type_name, DymoParams params);
-
-  /// Returns true if a route to `dest` was produced from local knowledge
-  /// (and ROUTE_FOUND emitted); false to fall through to discovery.
-  virtual bool try_local_knowledge(net::Addr dest, core::ProtocolContext& ctx);
-
-  DymoParams params_;
-
- private:
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
-};
-
-/// ROUTE_UPDATE from NetLink: data-plane usage extends route lifetimes.
-class RouteUpdateHandler final : public core::EventHandler {
- public:
-  explicit RouteUpdateHandler(DymoParams params);
-  void handle(const ev::Event& event, core::ProtocolContext& ctx) override;
-
- private:
-  DymoParams params_;
-  core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
 };
 
 /// RERR processing: invalidate matching routes and propagate.
 class RerrHandler final : public core::EventHandler {
  public:
-  explicit RerrHandler(DymoParams params);
+  RerrHandler();
   void handle(const ev::Event& event, core::ProtocolContext& ctx) override;
 
  private:
-  DymoParams params_;
   core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
 };
 
-/// Kernel-table sync helpers used by all DYMO handlers.
-void dymo_install_kernel_route(core::ProtocolContext& ctx, net::Addr dest,
-                               net::Addr next_hop, std::uint8_t hops);
-void dymo_remove_kernel_route(core::ProtocolContext& ctx, net::Addr dest);
-
-/// Emission helpers shared with the zone-hybrid protocol.
-void dymo_emit_route_found(core::ProtocolContext& ctx, net::Addr dest);
-void dymo_send_rreq(core::ProtocolContext& ctx, net::Addr target,
-                    const DymoParams& params);
+/// Kernel-table sync and ROUTE_FOUND emission: the reactive skeleton's
+/// helpers under their DYMO names (used by the zone hybrid and replication).
+inline constexpr auto& dymo_install_kernel_route = reactive::install_route;
+inline constexpr auto& dymo_remove_kernel_route = reactive::remove_route;
+inline constexpr auto& dymo_emit_route_found = reactive::emit_route_found;
 
 std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
                                                      DymoParams params = {});
@@ -211,10 +162,5 @@ std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
 void register_dymo(core::Manetkit& kit, DymoParams params = {});
 
 DymoState* dymo_state(core::ManetProtocolCf& cf);
-
-/// Initiates a route discovery directly (in addition to the NO_ROUTE-driven
-/// path); used by tests and examples.
-void dymo_discover(core::ManetProtocolCf& cf, net::Addr target,
-                   DymoParams params = {});
 
 }  // namespace mk::proto

@@ -13,12 +13,7 @@ bool seq_newer(std::uint16_t a, std::uint16_t b) {
 
 }  // namespace
 
-DymoState::DymoState() : oc::Component("dymo.DymoState") {
-  set_instance_name("State");
-  provide("IDymoState", static_cast<IDymoState*>(this));
-  provide("IState", static_cast<core::IState*>(this));
-  provide("IStateCodec", static_cast<core::IStateCodec*>(this));
-}
+DymoState::DymoState() : RouteTable("dymo.DymoState", kMaxTries) {}
 
 bool DymoState::update_route(net::Addr dest, std::uint16_t seq,
                              net::Addr next_hop, std::uint8_t hops,
@@ -49,33 +44,6 @@ bool DymoState::update_route(net::Addr dest, std::uint16_t seq,
   return true;
 }
 
-std::vector<std::pair<net::Addr, std::uint16_t>> DymoState::invalidate_via(
-    net::Addr next_hop) {
-  std::vector<std::pair<net::Addr, std::uint16_t>> out;
-  for (auto& [dest, r] : routes_) {
-    if (r.valid && r.active() != nullptr && r.active()->next_hop == next_hop) {
-      r.valid = false;
-      out.emplace_back(dest, r.seqnum);
-    }
-  }
-  return out;
-}
-
-std::optional<std::uint16_t> DymoState::invalidate(net::Addr dest) {
-  auto it = routes_.find(dest);
-  if (it == routes_.end() || !it->second.valid) return std::nullopt;
-  it->second.valid = false;
-  return it->second.seqnum;
-}
-
-void DymoState::extend_lifetime(net::Addr dest, TimePoint now,
-                                Duration lifetime) {
-  auto it = routes_.find(dest);
-  if (it != routes_.end() && it->second.valid) {
-    it->second.expires = now + lifetime;
-  }
-}
-
 std::vector<net::Addr> DymoState::expire(TimePoint now) {
   std::vector<net::Addr> out;
   for (auto it = routes_.begin(); it != routes_.end();) {
@@ -89,70 +57,9 @@ std::vector<net::Addr> DymoState::expire(TimePoint now) {
   return out;
 }
 
-std::optional<DymoRoute> DymoState::route_to(net::Addr dest) const {
-  auto it = routes_.find(dest);
-  if (it == routes_.end()) return std::nullopt;
-  return it->second;
-}
-
 DymoRoute* DymoState::mutable_route(net::Addr dest) {
   auto it = routes_.find(dest);
   return it == routes_.end() ? nullptr : &it->second;
-}
-
-bool DymoState::has_pending(net::Addr dest) const {
-  return pending_.find(dest) != pending_.end();
-}
-
-void DymoState::start_pending(net::Addr dest, TimePoint now, Duration wait) {
-  pending_[dest] = Pending{1, now + wait, wait};
-}
-
-std::vector<net::Addr> DymoState::due_retries(TimePoint now,
-                                              std::vector<net::Addr>& gave_up) {
-  std::vector<net::Addr> retry;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    Pending& p = it->second;
-    if (p.next_retry > now) {
-      ++it;
-      continue;
-    }
-    if (p.tries >= kMaxTries) {
-      gave_up.push_back(it->first);
-      it = pending_.erase(it);
-      continue;
-    }
-    ++p.tries;
-    p.backoff = p.backoff * 2;  // binary exponential backoff
-    p.next_retry = now + p.backoff;
-    retry.push_back(it->first);
-    ++it;
-  }
-  return retry;
-}
-
-std::optional<TimePoint> DymoState::retry_pending(net::Addr dest,
-                                                  TimePoint now) {
-  auto it = pending_.find(dest);
-  if (it == pending_.end()) return std::nullopt;
-  Pending& p = it->second;
-  if (p.tries >= kMaxTries) {
-    pending_.erase(it);
-    return std::nullopt;
-  }
-  ++p.tries;
-  p.backoff = p.backoff * 2;  // binary exponential backoff
-  p.next_retry = now + p.backoff;
-  return p.next_retry;
-}
-
-void DymoState::finish_pending(net::Addr dest) { pending_.erase(dest); }
-
-std::vector<net::Addr> DymoState::pending_dests() const {
-  std::vector<net::Addr> out;
-  out.reserve(pending_.size());
-  for (const auto& [dest, _] : pending_) out.push_back(dest);
-  return out;
 }
 
 bool DymoState::check_duplicate(net::Addr origin, std::uint16_t seq,
@@ -164,12 +71,6 @@ bool DymoState::check_duplicate(net::Addr origin, std::uint16_t seq,
     return true;
   }
   return false;
-}
-
-void DymoState::expire_duplicates(TimePoint now, Duration hold) {
-  for (auto it = duplicates_.begin(); it != duplicates_.end();) {
-    it = (now - it->second > hold) ? duplicates_.erase(it) : std::next(it);
-  }
 }
 
 bool DymoState::drop_duplicate(net::Addr origin, std::uint16_t seq) {
@@ -270,13 +171,13 @@ bool DymoState::decode_state(std::span<const std::uint8_t> blob) {
 void DymoState::reset_state() {
   routes_.clear();
   own_seq_ = 1;
-  pending_.clear();
+  clear_pending();
   duplicates_.clear();
 }
 
 std::string DymoState::describe() const {
   std::ostringstream os;
-  os << "dymo routes: " << routes_.size() << " pending: " << pending_.size()
+  os << "dymo routes: " << routes_.size() << " pending: " << pending_count()
      << " seq: " << own_seq_;
   return os.str();
 }

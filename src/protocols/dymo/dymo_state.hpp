@@ -1,6 +1,6 @@
 // S element of the DYMO CF: the reactive routing table (with sequence
-// numbers and lifetimes), the pending route-discovery (RREQ) table with
-// binary exponential backoff, and the RREQ duplicate set.
+// numbers and lifetimes) and the RREQ duplicate set. The pending
+// route-discovery table comes from the reactive skeleton's base.
 //
 // The route representation carries a *path list* so the multipath variant
 // can replace the S component with one that accommodates multiple
@@ -15,10 +15,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/ifaces.hpp"
-#include "core/state_codec.hpp"
 #include "net/address.hpp"
-#include "opencom/component.hpp"
+#include "protocols/reactive.hpp"
 #include "util/time.hpp"
 
 namespace mk::proto {
@@ -36,17 +34,17 @@ struct DymoRoute {
   std::vector<DymoPath> paths;  // [0] is the active path
 
   const DymoPath* active() const { return paths.empty() ? nullptr : &paths[0]; }
+  net::Addr via() const {
+    return paths.empty() ? net::kNoAddr : paths[0].next_hop;
+  }
+  /// DYMO reports the route's own seqnum as unreachable.
+  std::uint16_t invalidate() {
+    valid = false;
+    return seqnum;
+  }
 };
 
-struct IDymoState : oc::Interface {
-  virtual std::optional<DymoRoute> route_to(net::Addr dest) const = 0;
-  virtual std::size_t route_count() const = 0;
-};
-
-class DymoState : public oc::Component,
-                  public core::IState,
-                  public core::IStateCodec,
-                  public IDymoState {
+class DymoState : public reactive::RouteTable<DymoRoute> {
  public:
   DymoState();
 
@@ -56,17 +54,8 @@ class DymoState : public oc::Component,
   /// count improves (loop-freedom rule). Resets the path list to the single
   /// new path and refreshes the lifetime.
   bool update_route(net::Addr dest, std::uint16_t seq, net::Addr next_hop,
-                    std::uint8_t hops, TimePoint now, Duration lifetime);
-
-  /// Invalidates all valid routes whose *active* path uses `next_hop`;
-  /// returns (dest, seq) pairs for the RERR.
-  std::vector<std::pair<net::Addr, std::uint16_t>> invalidate_via(
-      net::Addr next_hop);
-
-  /// Invalidates one destination; returns its seq if a valid route existed.
-  std::optional<std::uint16_t> invalidate(net::Addr dest);
-
-  void extend_lifetime(net::Addr dest, TimePoint now, Duration lifetime);
+                    std::uint8_t hops, TimePoint now,
+                    Duration lifetime) override;
 
   /// Drops expired routes; returns their destinations (for kernel cleanup).
   std::vector<net::Addr> expire(TimePoint now);
@@ -75,37 +64,17 @@ class DymoState : public oc::Component,
   /// present.
   bool drop_route(net::Addr dest) { return routes_.erase(dest) > 0; }
 
-  std::optional<DymoRoute> route_to(net::Addr dest) const override;
   DymoRoute* mutable_route(net::Addr dest);
-  std::size_t route_count() const override { return routes_.size(); }
-  const std::map<net::Addr, DymoRoute>& all_routes() const { return routes_; }
 
   // -- sequence number --------------------------------------------------------------
   std::uint16_t own_seq() const { return own_seq_; }
   std::uint16_t bump_seq() { return ++own_seq_; }
 
-  // -- pending discoveries --------------------------------------------------------------
+  /// RREQ tries per discovery before giving up.
   static constexpr std::uint8_t kMaxTries = 3;
-
-  bool has_pending(net::Addr dest) const;
-  void start_pending(net::Addr dest, TimePoint now, Duration wait);
-  /// Destinations whose retry timer elapsed; bumps their try-counter and
-  /// doubles the backoff. Entries past kMaxTries are dropped and reported in
-  /// `gave_up`.
-  std::vector<net::Addr> due_retries(TimePoint now,
-                                     std::vector<net::Addr>& gave_up);
-  /// Advances one pending discovery whose retry deadline lapsed: bumps the
-  /// try-counter, doubles the backoff and returns the new retry deadline.
-  /// Returns nullopt if the discovery is absent or just gave up (dropped).
-  std::optional<TimePoint> retry_pending(net::Addr dest, TimePoint now);
-  void finish_pending(net::Addr dest);
-  /// Destinations with discoveries in flight (expiry re-seeding).
-  std::vector<net::Addr> pending_dests() const;
-  std::size_t pending_count() const { return pending_.size(); }
 
   // -- RREQ duplicate set ------------------------------------------------------------------
   bool check_duplicate(net::Addr origin, std::uint16_t seq, TimePoint now);
-  void expire_duplicates(TimePoint now, Duration hold);
   /// Removes one tuple (soft-state expiry); returns true if it was present.
   bool drop_duplicate(net::Addr origin, std::uint16_t seq);
   /// All live tuples (expiry re-seeding).
@@ -121,17 +90,8 @@ class DymoState : public oc::Component,
   bool decode_state(std::span<const std::uint8_t> blob) override;
   void reset_state() override;
 
- protected:
-  std::map<net::Addr, DymoRoute> routes_;
-
  private:
-  struct Pending {
-    std::uint8_t tries = 1;
-    TimePoint next_retry{};
-    Duration backoff{};
-  };
   std::uint16_t own_seq_ = 1;
-  std::map<net::Addr, Pending> pending_;
   std::map<std::pair<net::Addr, std::uint16_t>, TimePoint> duplicates_;
 };
 

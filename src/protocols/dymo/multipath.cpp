@@ -1,8 +1,5 @@
 #include "protocols/dymo/multipath.hpp"
 
-#include <string_view>
-
-#include "core/attrs.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 
@@ -10,68 +7,11 @@ namespace mk::proto {
 
 namespace {
 
-using core::attrs::kDest;
-
-std::string_view handler_type(core::ManetProtocolCf& dymo,
-                              std::string_view name) {
-  oc::Component* h = dymo.control().find(name);
-  return h == nullptr ? std::string_view{} : h->type_name();
-}
-
 MultipathDymoState& mp_state_of(core::ProtocolContext& ctx) {
   auto* s = dynamic_cast<MultipathDymoState*>(ctx.state());
   MK_ASSERT(s != nullptr, "multipath DYMO has no MultipathDymoState");
   return *s;
 }
-
-/// RE handler mining duplicates for link-disjoint paths.
-class MultipathReHandler final : public ReHandler {
- public:
-  explicit MultipathReHandler(DymoParams params)
-      : ReHandler("dymo.MultipathReHandler", params) {}
-
- protected:
-  /// Duplicate RREQ at the target: answer it too (bounded by kMaxPaths), so
-  /// the originator learns one RREP per disjoint approach direction.
-  void on_duplicate_rreq_at_target(const ev::Event& event,
-                                   core::ProtocolContext& ctx) override {
-    MultipathDymoState& st = mp_state_of(ctx);
-    net::Addr orig = *event.msg()->originator;
-    // Record the alternate reverse path first, then reply along it.
-    bool added = st.add_alternate_path(
-        orig, event.from,
-        static_cast<std::uint8_t>(event.msg()->hop_count + 1));
-    // Reply with the *same* sequence number as the first RREP so the
-    // originator treats this as an equal-freshness alternative path.
-    if (added) send_rrep(event, ctx, /*bump_seq=*/false);
-  }
-
-  /// Duplicate RREQ at an intermediate node: keep the alternate reverse
-  /// path, do not rebroadcast (the first copy already did).
-  void on_duplicate_rreq(const ev::Event& event,
-                         core::ProtocolContext& ctx) override {
-    mp_state_of(ctx).add_alternate_path(
-        *event.msg()->originator, event.from,
-        static_cast<std::uint8_t>(event.msg()->hop_count + 1));
-  }
-
-  /// RREP at the discovery originator: later copies arriving via a different
-  /// first hop contribute alternate forward paths.
-  void on_rrep_at_origin(const ev::Event& event,
-                         core::ProtocolContext& ctx) override {
-    MultipathDymoState& st = mp_state_of(ctx);
-    net::Addr dest = *event.msg()->originator;  // the RREP sender == target
-    st.add_alternate_path(
-        dest, event.from,
-        static_cast<std::uint8_t>(event.msg()->hop_count + 1));
-    st.finish_pending(dest);
-    if (auto* s = core::soft_expiry_of(ctx)) {
-      s->drop(dymo_sets::kPending, dest);
-    }
-  }
-
- private:
-};
 
 /// Route-error handler that fails over before reporting.
 class MultipathInvalidationHandler final : public RouteInvalidationHandler {
@@ -80,32 +20,27 @@ class MultipathInvalidationHandler final : public RouteInvalidationHandler {
       : RouteInvalidationHandler("dymo.MultipathInvalidationHandler", params) {}
 
  protected:
-  std::vector<std::pair<net::Addr, std::uint16_t>> fail_via(
-      net::Addr hop, core::ProtocolContext& ctx) override {
+  reactive::Unreachable fail_via(net::Addr hop,
+                                 core::ProtocolContext& ctx) override {
     MultipathDymoState& st = mp_state_of(ctx);
-    std::vector<std::pair<net::Addr, std::uint16_t>> unreachable;
+    reactive::Unreachable unreachable;
 
     // Collect destinations whose *active* path uses the broken hop, then try
     // alternates before declaring them unreachable.
     std::vector<net::Addr> affected;
     for (const auto& [dest, route] : st.all_routes()) {
-      if (route.valid && route.active() != nullptr &&
-          route.active()->next_hop == hop) {
-        affected.push_back(dest);
-      }
+      if (route.valid && route.via() == hop) affected.push_back(dest);
     }
     for (net::Addr dest : affected) {
       if (auto alt = st.fail_over(dest)) {
-        dymo_install_kernel_route(ctx, dest, alt->next_hop, alt->hops);
+        reactive::install_route(ctx, dest, alt->next_hop, alt->hops);
         // Flush anything NetLink buffered meanwhile.
-        ev::Event e(ev::types::ROUTE_FOUND);
-        e.set_int(kDest, dest);
-        ctx.emit(std::move(e));
+        reactive::emit_route_found(ctx, dest);
         MK_DEBUG("dymo", "failed over ", pbb::addr_to_string(dest), " to ",
                  pbb::addr_to_string(alt->next_hop));
       } else {
         auto route = st.route_to(dest);
-        dymo_remove_kernel_route(ctx, dest);
+        reactive::remove_route(ctx, dest);
         unreachable.emplace_back(dest, route ? route->seqnum : 0);
       }
     }
@@ -122,18 +57,13 @@ void apply_multipath_dymo(core::Manetkit& kit, DymoParams params) {
 
   auto lock = dymo->quiesce();
 
-  // 1. S component: new format, state carried over.
+  // 1. S component: new format, state carried over. From here on whichever
+  // RE handler is installed mines duplicates for alternate paths.
   auto* old_state = dymo_state(*dymo);
   MK_ASSERT(old_state != nullptr);
-  auto new_state = std::make_unique<MultipathDymoState>(*old_state);
-  dymo->set_state(std::move(new_state));
+  dymo->set_state(std::make_unique<MultipathDymoState>(*old_state));
 
-  // 2 & 3. Handler replacements. The RE handler is taken over only from the
-  // base one: another variant's (optimised flooding) stays in place.
-  if (handler_type(*dymo, "ReHandler") == "dymo.ReHandler") {
-    dymo->replace_handler("ReHandler",
-                          std::make_unique<MultipathReHandler>(params));
-  }
+  // 2. Route-error handler: fail over before reporting.
   dymo->replace_handler("RouteErrHandler",
                         std::make_unique<MultipathInvalidationHandler>(params));
 }
@@ -157,11 +87,6 @@ void remove_multipath_dymo(core::Manetkit& kit, DymoParams params) {
     }
   }
   dymo->set_state(std::move(new_state));
-  // Swap back only the handlers multipath installed: optimised flooding may
-  // own the RE handler by now.
-  if (handler_type(*dymo, "ReHandler") == "dymo.MultipathReHandler") {
-    dymo->replace_handler("ReHandler", std::make_unique<ReHandler>(params));
-  }
   dymo->replace_handler("RouteErrHandler",
                         std::make_unique<RouteInvalidationHandler>(params));
 }

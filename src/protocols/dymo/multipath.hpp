@@ -2,12 +2,13 @@
 // multiple link-disjoint paths within a single route-discovery attempt,
 // trading a little discovery latency for far fewer repeat floods.
 //
-// Enactment (the paper's recipe — three component replacements):
+// Enactment (the paper's recipe, with the RE-handler step folded into the S
+// element so the variant stacks with any relaying policy):
 //  * the S component is replaced with one holding a path *list* per route
-//    (state carried over);
-//  * the RE handler is replaced: duplicate RREQs/RREPs are no longer
-//    systematically discarded but mined for alternative disjoint paths
-//    (atomic handler execution makes this safe);
+//    (state carried over). While it is installed, the RE handler — plain,
+//    optimised-flooding or gossip alike — no longer discards duplicate
+//    RREQs/RREPs but mines them for alternative disjoint paths (atomic
+//    handler execution makes this safe);
 //  * the route-error handler is replaced: on failure it fails over to an
 //    alternate path when one exists, and only otherwise sends a RERR.
 #pragma once

@@ -1,5 +1,6 @@
 #include "protocols/dymo/opt_flood.hpp"
 
+#include "core/framework_manager.hpp"
 #include "protocols/mpr/mpr_cf.hpp"
 #include "util/assert.hpp"
 
@@ -17,12 +18,13 @@ class OptFloodReHandler final : public ReHandler {
  protected:
   bool should_relay_rreq(const ev::Event& event,
                          core::ProtocolContext&) override {
-    MprState* st = mpr_state(*mpr_cf_);
+    core::ManetProtocolCf* mpr_cf = mpr_cf_.get();
+    MprState* st = mpr_cf == nullptr ? nullptr : mpr_state(*mpr_cf);
     return st == nullptr || st->is_mpr_selector(event.from);
   }
 
  private:
-  core::ManetProtocolCf* mpr_cf_;
+  core::UnitRef mpr_cf_;
 };
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/framework_manager.hpp"
 #include "core/soft_state.hpp"
 #include "protocols/mpr/mpr_cf.hpp"
 #include "protocols/olsr/route_calculator.hpp"
@@ -44,9 +45,10 @@ OlsrState& olsr_state_of(core::ProtocolContext& ctx) {
 /// bumping the ANSN when the advertised set changed. Shared by the periodic
 /// generator and the triggered path. Returns false when there is nothing to
 /// advertise (and nothing was previously advertised).
-bool emit_tc(core::ProtocolContext& ctx, core::ManetProtocolCf* mpr_cf) {
+bool emit_tc(core::ProtocolContext& ctx, core::UnitRef& mpr_cf) {
   OlsrState& st = olsr_state_of(ctx);
-  auto* mpr = mpr_state(*mpr_cf);
+  core::ManetProtocolCf* cf = mpr_cf.get();
+  auto* mpr = cf == nullptr ? nullptr : mpr_state(*cf);
   if (mpr == nullptr) return false;
   std::set<net::Addr> selectors = mpr->mpr_selectors();
   if (selectors.empty() && st.last_advertised().empty()) return false;
@@ -96,7 +98,7 @@ class TcGenerator final : public core::EventSource {
   void fire() { emit_tc(*ctx_, mpr_cf_); }
 
   OlsrParams params_;
-  core::ManetProtocolCf* mpr_cf_;
+  core::UnitRef mpr_cf_;
   core::ProtocolContext* ctx_ = nullptr;
   std::unique_ptr<PeriodicTimer> timer_;
 };
@@ -122,7 +124,8 @@ class TcHandler final : public core::EventHandler {
     if (*msg.originator == ctx.self()) return;
 
     // RFC 3626: process TCs only from symmetric neighbours.
-    auto* mpr = mpr_state(*mpr_cf_);
+    core::ManetProtocolCf* mpr_cf = mpr_cf_.get();
+    auto* mpr = mpr_cf == nullptr ? nullptr : mpr_state(*mpr_cf);
     if (mpr != nullptr && !mpr->is_sym_neighbor(event.from)) return;
 
     const auto* ansn_tlv = msg.find_tlv(wire::kTlvAnsn);
@@ -147,7 +150,7 @@ class TcHandler final : public core::EventHandler {
 
  private:
   OlsrParams params_;
-  core::ManetProtocolCf* mpr_cf_;
+  core::UnitRef mpr_cf_;
   core::ISoftExpiry::SetId topo_set_;
   core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
   obs::Counter* tc_in_ = nullptr;  // cached: interned once, then atomic inc
@@ -186,15 +189,14 @@ class TopologyChangeHandler final : public core::EventHandler {
     // Coalesced follow-up re-emission (safe: the protocol CF outlives its
     // handlers only across replace, which cancels via OneShotTimer's dtor).
     core::ManetProtocolCf* proto = &ctx.protocol();
-    core::ManetProtocolCf* mpr = mpr_cf_;
-    reemit_.schedule(kReemitDelay, [proto, mpr] {
+    reemit_.schedule(kReemitDelay, [this, proto] {
       auto lock = proto->quiesce();
-      emit_tc(proto->context(), mpr);
+      emit_tc(proto->context(), mpr_cf_);
     });
   }
 
  private:
-  core::ManetProtocolCf* mpr_cf_;
+  core::UnitRef mpr_cf_;
   TimePoint last_triggered_{-10'000'000};
   OneShotTimer reemit_;
 };

@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 
+#include "core/framework_manager.hpp"
 #include "core/manet_protocol.hpp"
 #include "protocols/mpr/mpr_state.hpp"
 #include "util/assert.hpp"
@@ -27,12 +28,13 @@ double RouteCalculator::node_cost(const OlsrState&, net::Addr) const {
 
 void RouteCalculator::recompute(core::ProtocolContext& ctx) {
   auto* st = dynamic_cast<OlsrState*>(ctx.state());
-  if (st == nullptr || ctx.sys() == nullptr || mpr_cf_ == nullptr) return;
+  core::ManetProtocolCf* mpr_cf = mpr_cf_.get();
+  if (st == nullptr || ctx.sys() == nullptr || mpr_cf == nullptr) return;
 
   auto* nbr =
-      mpr_cf_->state_component() == nullptr
+      mpr_cf->state_component() == nullptr
           ? nullptr
-          : mpr_cf_->state_component()->interface_as<INeighborState>(
+          : mpr_cf->state_component()->interface_as<INeighborState>(
                 "INeighborState");
   if (nbr == nullptr) return;
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/cfs.hpp"
+#include "core/framework_manager.hpp"
 #include "net/address.hpp"
 #include "obs/metrics.hpp"
 #include "opencom/component.hpp"
@@ -29,7 +30,8 @@ struct IRouteCalculator : oc::Interface {
 class RouteCalculator : public oc::Component, public IRouteCalculator {
  public:
   /// `mpr_cf` is the MPR CF instance whose S element supplies neighbourhood
-  /// information (a cross-CF direct-call binding in the paper's terms).
+  /// information (a cross-CF direct-call binding in the paper's terms). The
+  /// binding follows the MPR CF through replacement.
   explicit RouteCalculator(core::ManetProtocolCf* mpr_cf);
 
   /// Skips the run (a memo hit) while every input is unchanged: the
@@ -44,7 +46,7 @@ class RouteCalculator : public oc::Component, public IRouteCalculator {
   /// Cost of traversing intermediate node `via` (hop metric = 1.0).
   virtual double node_cost(const OlsrState& st, net::Addr via) const;
 
-  core::ManetProtocolCf* mpr_cf_;
+  core::UnitRef mpr_cf_;
 
  private:
   struct InputKey {

@@ -120,24 +120,14 @@ class ZoneMaintenance final : public core::EventSource {
     std::set<net::Addr> zone;
     for (net::Addr n : ns->sym_neighbors()) {
       zone.insert(n);
-      net::RouteEntry e;
-      e.dest = n;
-      e.next_hop = n;
-      e.metric = 1;
-      e.installed_at = ctx_->now();
-      ctx_->sys()->kernel_table().set_route(e);
+      dymo_install_kernel_route(*ctx_, n, n, 1);
     }
     for (net::Addr t : ns->strict_two_hop(ctx_->self())) {
       net::Addr hop = net::kNoAddr;
       std::uint8_t dist = zone_route(kit_, t, hop);
       if (dist == 0) continue;
       zone.insert(t);
-      net::RouteEntry e;
-      e.dest = t;
-      e.next_hop = hop;
-      e.metric = dist;
-      e.installed_at = ctx_->now();
-      ctx_->sys()->kernel_table().set_route(e);
+      dymo_install_kernel_route(*ctx_, t, hop, dist);
     }
     // Proactive routes that left the zone are withdrawn (unless the
     // reactive side still holds a valid route there).
@@ -146,7 +136,7 @@ class ZoneMaintenance final : public core::EventSource {
       if (zone.count(dest) > 0) continue;
       auto reactive = st == nullptr ? std::nullopt : st->route_to(dest);
       if (reactive && reactive->valid) continue;
-      ctx_->sys()->kernel_table().remove_route(dest);
+      dymo_remove_kernel_route(*ctx_, dest);
     }
     installed_ = std::move(zone);
   }

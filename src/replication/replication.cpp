@@ -45,16 +45,11 @@ void reinstall_routes(core::ManetProtocolCf& proto) {
   }
   if (auto* ao = dynamic_cast<proto::AodvState*>(sc)) {
     auto lock = proto.quiesce();
-    core::ProtocolContext& ctx = proto.context();
-    if (ctx.sys() == nullptr) return;
     for (const auto& [dest, r] : ao->all_routes()) {
-      if (!r.valid) continue;
-      net::RouteEntry entry;
-      entry.dest = dest;
-      entry.next_hop = r.next_hop;
-      entry.metric = r.hops;
-      entry.installed_at = ctx.now();
-      ctx.sys()->kernel_table().set_route(entry);
+      if (r.valid) {
+        proto::reactive::install_route(proto.context(), dest, r.next_hop,
+                                       r.hops);
+      }
     }
   }
 }

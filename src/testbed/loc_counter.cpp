@@ -103,6 +103,9 @@ std::vector<ComponentLoc> manifest() {
         all),
       G("Event ontology", {"src/events/event.hpp", "src/events/event.cpp"},
         all),
+      G("Reactive skeleton",
+        {"src/protocols/reactive.hpp", "src/protocols/reactive.cpp"},
+        {"DYMO", "AODV"}),
 
       // ---- protocol-specific components ----
       S("OLSR TC Handler/Generator + State",

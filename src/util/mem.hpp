@@ -1,7 +1,7 @@
 // Memory-discipline primitives for the allocation-free steady state.
 //
-// Three pieces, shared by every pool in the tree (pbb::MessagePool,
-// core::EventArena, net payload pool, executor batch pools):
+// Four pieces, shared by every pool in the tree (pbb.message, core.event,
+// net.payload, executor batch pools):
 //
 //  * MemBackend — a process-wide switch between pooled allocation (kPool,
 //    the default) and plain heap allocation (kHeap). kHeap is the
@@ -22,6 +22,10 @@
 //    *control block* is recycled too and acquire is allocation-free in
 //    steady state.
 //
+//  * SlotPool<T> — the object pool itself: a free list of T slots handed
+//    out as shared_ptr<T>. A module supplies only its reset and poison
+//    steps.
+//
 // Pools register a PoolStats record under a stable name; pool_snapshots()
 // feeds the mem.pool.* gauges (see obs) so leaked handles are observable.
 //
@@ -33,7 +37,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
+
+#include "util/assert.hpp"
 
 namespace mk::mem {
 
@@ -120,6 +128,99 @@ struct BlockAllocator {
   friend bool operator==(const BlockAllocator&, const BlockAllocator&) {
     return true;
   }
+};
+
+// -- object pool --------------------------------------------------------------
+
+/// Under kPool, a released slot is poisoned, canary-stamped and listed
+/// free; acquire reuses it after a canary check and `reset` (a fresh slot
+/// is value-initialised). The deleter returns the slot and the control
+/// block comes from BlockAllocator, so a warm cycle allocates nothing.
+/// Under kHeap acquire is plain make_shared<T>().
+template <class T>
+class SlotPool {
+ public:
+  using Step = void (*)(T&);
+
+  /// Registers PoolStats under `name` (static storage duration).
+  SlotPool(const char* name, Step reset, Step poison)
+      : reset_(reset), poison_(poison) {
+    register_pool(name, &stats_);
+  }
+  SlotPool(const SlotPool&) = delete;  // handles' deleters hold its address
+  SlotPool& operator=(const SlotPool&) = delete;
+
+  std::shared_ptr<T> acquire() {
+    if (backend() == MemBackend::kHeap) return std::make_shared<T>();
+    Slot* s;
+    {
+      std::lock_guard lock(mu_);
+      s = free_head_;
+      if (s != nullptr) free_head_ = s->next;
+    }
+    if (s != nullptr) {
+      MK_ASSERT(s->canary == kPoisonCanary, "pool slot corrupted");
+      s->canary = 0;
+      s->next = nullptr;
+      reset_(s->value);
+      stats_.hits.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      s = new Slot();
+      stats_.misses.fetch_add(1, std::memory_order_relaxed);
+    }
+    stats_.outstanding.fetch_add(1, std::memory_order_relaxed);
+    return std::shared_ptr<T>(&s->value, Deleter{this, s},
+                              BlockAllocator<T>{});
+  }
+
+  /// Live handles not yet returned (kPool acquires only).
+  std::int64_t outstanding() const {
+    return stats_.outstanding.load(std::memory_order_relaxed);
+  }
+
+  /// Frees the free list (test hygiene); live handles still return.
+  void trim() {
+    Slot* head;
+    {
+      std::lock_guard lock(mu_);
+      head = free_head_;
+      free_head_ = nullptr;
+    }
+    while (head != nullptr) {
+      Slot* next = head->next;
+      delete head;
+      head = next;
+    }
+  }
+
+ private:
+  struct Slot {
+    T value;
+    std::uint64_t canary = 0;
+    Slot* next = nullptr;
+  };
+  struct Deleter {
+    SlotPool* pool;
+    Slot* slot;
+    void operator()(T*) const noexcept { pool->release(slot); }
+  };
+
+  void release(Slot* s) noexcept {
+    poison_(s->value);
+    s->canary = kPoisonCanary;
+    {
+      std::lock_guard lock(mu_);
+      s->next = free_head_;
+      free_head_ = s;
+    }
+    stats_.outstanding.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  Step reset_;
+  Step poison_;
+  std::mutex mu_;
+  Slot* free_head_ = nullptr;
+  PoolStats stats_;
 };
 
 }  // namespace mk::mem

@@ -98,5 +98,30 @@ TEST(OlsrIntegration, LinkBreakInvalidatesRoutes) {
   EXPECT_TRUE(world.has_route(4, world.addr(3)));
 }
 
+TEST(OlsrIntegration, RoutesFollowAReplacedMprCf) {
+  // The OLSR CF reads its neighbourhood from the MPR CF. Replacing "mpr"
+  // (as a supervised restart does) must re-bind that read to the new
+  // instance, never leave it on the freed one.
+  testbed::SimWorld world(5);
+  world.linear();
+  world.deploy_all("olsr");
+  ASSERT_TRUE(world.run_until_routed(sec(60)).has_value());
+
+  core::Manetkit::ReplaceOptions fresh;
+  fresh.carry_state = false;  // the new MPR CF learns its neighbourhood anew
+  for (std::size_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(world.kit(i).replace_protocol("mpr", "mpr", fresh).committed);
+  }
+  ASSERT_TRUE(world.run_until_routed(sec(60)).has_value());
+
+  // Routes track the new CFs' view: cut the chain in the middle.
+  world.medium().set_link(world.addr(2), world.addr(3), false);
+  world.run_for(sec(25));
+  EXPECT_FALSE(world.has_route(0, world.addr(4)));
+  EXPECT_FALSE(world.has_route(4, world.addr(0)));
+  EXPECT_TRUE(world.has_route(0, world.addr(2)));
+  EXPECT_TRUE(world.has_route(4, world.addr(3)));
+}
+
 }  // namespace
 }  // namespace mk

@@ -231,6 +231,43 @@ TEST(MultipathDymo, RemoveKeepsOptimisedFlooding) {
   }
 }
 
+TEST(MultipathDymo, RemoveOptFloodKeepsMultipath) {
+  // Either order of application: removing optimised flooding must leave
+  // multipath's duplicate mining in place, so one discovery still yields
+  // both disjoint paths of the diamond.
+  for (bool optflood_first : {true, false}) {
+    testbed::SimWorld world(4);
+    auto a = world.addrs();
+    world.medium().set_link(a[0], a[1], true);
+    world.medium().set_link(a[1], a[3], true);
+    world.medium().set_link(a[0], a[2], true);
+    world.medium().set_link(a[2], a[3], true);
+    world.deploy_all("dymo");
+    world.run_for(sec(5));
+    for (std::size_t i = 0; i < 4; ++i) {
+      core::Manetkit& kit = world.kit(i);
+      if (optflood_first) {
+        proto::apply_dymo_optimized_flooding(kit);
+        proto::apply_multipath_dymo(kit);
+      } else {
+        proto::apply_multipath_dymo(kit);
+        proto::apply_dymo_optimized_flooding(kit);
+      }
+      proto::remove_dymo_optimized_flooding(kit);
+      EXPECT_TRUE(proto::is_multipath_dymo(kit)) << optflood_first;
+      EXPECT_FALSE(proto::is_dymo_optimized_flooding(kit)) << optflood_first;
+    }
+    world.run_for(sec(5));
+
+    world.node(0).forwarding().send(a[3], 64);
+    world.run_for(sec(5));
+    auto* st = dynamic_cast<MultipathDymoState*>(
+        world.kit(0).protocol("dymo")->state_component());
+    ASSERT_NE(st, nullptr);
+    EXPECT_EQ(st->path_count(a[3]), 2u) << optflood_first;
+  }
+}
+
 TEST(OptFlooding, SharesMprWithOlsrAndStillDiscovers) {
   testbed::SimWorld world(5);
   world.linear();
