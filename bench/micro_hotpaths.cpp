@@ -10,9 +10,12 @@
 // — are measurable, not just asserted.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <optional>
+#include <vector>
 
 #include "core/manetkit.hpp"
 #include "net/medium.hpp"
@@ -24,6 +27,7 @@
 #include "testbed/world.hpp"
 #include "util/mem.hpp"
 #include "util/memtrack.hpp"
+#include "util/rng.hpp"
 #include "util/scheduler.hpp"
 
 namespace mk {
@@ -482,6 +486,66 @@ BENCHMARK_CAPTURE(BM_CrashReconverge, none, core::ReplicationStrategy::kNone)
 BENCHMARK_CAPTURE(BM_CrashReconverge, checkpoint,
                   core::ReplicationStrategy::kCheckpoint)
     ->Unit(benchmark::kMillisecond);
+
+// Flood-shaped scheduler burst: the dense-DYMO RREQ pattern reduced to its
+// timers. 150 nodes with 12 random neighbours each; 8 floods start within
+// 4 ms; a node's first receipt of a flood rebroadcasts it as 12 deliveries
+// one SimMedium frame delay ahead (500 us + 1 us per byte of a 48-111 B
+// frame), and every receipt cancels and re-arms that node's route-expiry
+// deadline 3 s ahead. run_for advances in 1 ms steps, so thousands of
+// deliveries share each 1024 us wheel tick while callbacks keep arming into
+// it. /wheel runs the timing wheel and /heap the comparison heap
+// on the same seeded burst; bench/run_hotpaths.sh reports the heap as the
+// wheel row's baseline and fails if the wheel is the slower of the two.
+void BM_SchedulerFloodBurst(benchmark::State& state, SimBackend backend) {
+  constexpr int kNodes = 150;
+  constexpr int kDegree = 12;
+  constexpr int kFloods = 8;
+  Rng topo(42);
+  std::vector<std::array<int, kDegree>> nbrs(kNodes);
+  for (auto& row : nbrs) {
+    for (int& nb : row) nb = static_cast<int>(topo.next_u64() % kNodes);
+  }
+  SimScheduler sched(backend);
+  std::vector<TimerId> expiry(kNodes, kInvalidTimer);
+  std::vector<bool> seen(kNodes * kFloods);
+  std::size_t in_flight = 0;
+  std::int64_t events = 0;
+  Rng rng(1234);
+  std::function<void(int, int)> deliver = [&](int node, int flood) {
+    --in_flight;
+    ++events;
+    if (expiry[node] != kInvalidTimer) sched.cancel(expiry[node]);
+    expiry[node] = sched.schedule_after(sec(3), [] {});
+    if (seen[flood * kNodes + node]) return;
+    seen[flood * kNodes + node] = true;
+    const Duration frame_delay =
+        usec(500 + 48 + static_cast<std::int64_t>(rng.next_u64() % 64));
+    for (int nb : nbrs[node]) {
+      ++in_flight;
+      sched.schedule_after(frame_delay,
+                           [&deliver, nb, flood] { deliver(nb, flood); });
+    }
+  };
+  for (auto _ : state) {
+    rng = Rng(1234);
+    seen.assign(seen.size(), false);
+    for (int f = 0; f < kFloods; ++f) {
+      const int origin = static_cast<int>(rng.next_u64() % kNodes);
+      ++in_flight;
+      sched.schedule_after(
+          usec(static_cast<std::int64_t>(rng.next_u64() % 4000)),
+          [&deliver, origin, f] { deliver(origin, f); });
+    }
+    while (in_flight > 0) sched.run_for(msec(1));
+  }
+  state.counters["events"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK_CAPTURE(BM_SchedulerFloodBurst, wheel, SimBackend::kWheel)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SchedulerFloodBurst, heap, SimBackend::kHeap)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MprSelection(benchmark::State& state) {
   // A dense neighbourhood: n neighbours, each covering a slice of 2n

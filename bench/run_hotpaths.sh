@@ -7,10 +7,15 @@
 # (traced 5-node OLSR world, pooled memory backend) must stay within
 # MK_ALLOC_BUDGET allocs/op (default 50) plus 10% headroom, or the script
 # exits non-zero — the CI-facing regression gate for the arena/pool layer.
+# It likewise exits non-zero if BM_SchedulerFloodBurst/wheel (the timing
+# wheel on a dense same-tick flood) is slower than BM_SchedulerFloodBurst/heap
+# (the comparison heap on the same seeded burst), whose time the report
+# carries as the wheel row's baseline_ns.
 #
 # With a second build directory (a build of the code before a change), the
-# OLSR world benches (BM_OlsrWorld*) are also run as same-host pairs: five
-# rounds, each running that subset from both builds in alternating order.
+# OLSR world and scheduler flood benches (BM_OlsrWorld*,
+# BM_SchedulerFloodBurst*) are also run as same-host pairs: five rounds,
+# each running that subset from both builds in alternating order.
 # Each matching row gains the medians over the pairs: paired_real_time_ns
 # (this build), before_real_time_ns and before_allocs_per_op (the other
 # build), and before_speedup (before / paired). MK_BEFORE_LABEL names the
@@ -46,7 +51,7 @@ if [[ -n "$before_bin" ]]; then
       bin="$bench_bin"
       [[ "$side" == before ]] && bin="$before_bin"
       "$bin" --benchmark_min_time=0.2 --benchmark_format=json \
-        --benchmark_filter='^BM_OlsrWorld' \
+        --benchmark_filter='^(BM_OlsrWorld|BM_SchedulerFloodBurst)' \
         > "$pairs/$side.$i.json"
     done
   done
@@ -110,16 +115,21 @@ def paired(side):
 after_pairs = paired("after")
 before_pairs = paired("before")
 
-# The mobile-world scale benches carry their baseline in the same run: the
-# reference-backend rerun of the identical seeded scenario. Map
-# BM_WorldSecond/N -> BM_WorldSecondRef/N so the report shows the grid
-# backend's speedup over the O(n^2) oracle (ISSUE 7 acceptance: >= 10x at
-# /1000).
+# Some benches carry their baseline in the same run: the reference-backend
+# rerun of the identical seeded scenario. BM_WorldSecond/N maps to
+# BM_WorldSecondRef/N, so the report shows the grid backend's speedup over
+# the O(n^2) oracle (acceptance: >= 10x at /1000); the scheduler flood's
+# wheel row maps to its heap row.
+FLOOD_WHEEL = "BM_SchedulerFloodBurst/wheel"
+FLOOD_HEAP = "BM_SchedulerFloodBurst/heap"
+times = {b["name"]: b["real_time"] for b in benches}
 ref_ns = {
-    b["name"].replace("BM_WorldSecondRef/", "BM_WorldSecond/"): b["real_time"]
-    for b in benches
-    if b["name"].startswith("BM_WorldSecondRef/")
+    name.replace("BM_WorldSecondRef/", "BM_WorldSecond/"): t
+    for name, t in times.items()
+    if name.startswith("BM_WorldSecondRef/")
 }
+if FLOOD_HEAP in times:
+    ref_ns[FLOOD_WHEEL] = times[FLOOD_HEAP]
 
 results = []
 for b in benches:
@@ -131,7 +141,7 @@ for b in benches:
     for counter in ("allocs_per_op", "faults_fired", "pair_evals",
                     "link_flips", "recovered_cycles", "reconverge_us",
                     "rehydrates", "route_recomputes",
-                    "route_recompute_skips"):
+                    "route_recompute_skips", "events"):
         if counter in b:
             entry[counter] = round(b[counter], 2)
     if b["name"] in BASELINE_NS:
@@ -196,7 +206,12 @@ report = {
             "peers; `none` cold-starts while `checkpoint` rehydrates from "
             "1-hop peer replicas (`rehydrates` counts applied offers), so "
             "the none-vs-checkpoint reconverge_us gap is the replication "
-            "layer's crash-recovery win (ISSUE 10).",
+            "layer's crash-recovery win. "
+            "BM_SchedulerFloodBurst/{wheel,heap} push a seeded dense-DYMO "
+            "RREQ flood (150 nodes x 12 neighbours, 8 floods, `events` "
+            "deliveries per op) through SimScheduler via 1 ms run_for steps; "
+            "the wheel row's baseline_ns is the heap row of the same run, "
+            "and the script fails if the wheel is the slower one.",
     "context": raw.get("context", {}),
     "results": results,
 }
@@ -228,4 +243,17 @@ if measured > ceiling:
     sys.exit(1)
 print(f"alloc gate: {GATE} at {measured} allocs/op "
       f"(budget {budget}, ceiling {ceiling:.1f})")
+
+# Scheduler gate: on a dense same-tick flood the timing wheel must not lose
+# to the comparison heap it replaced.
+if FLOOD_WHEEL not in times or FLOOD_HEAP not in times:
+    print(f"error: scheduler gate benchmarks {FLOOD_WHEEL}/{FLOOD_HEAP} "
+          "missing from run", file=sys.stderr)
+    sys.exit(1)
+if times[FLOOD_WHEEL] > times[FLOOD_HEAP]:
+    print(f"error: {FLOOD_WHEEL} took {times[FLOOD_WHEEL]:.0f} ns, slower "
+          f"than {FLOOD_HEAP} at {times[FLOOD_HEAP]:.0f} ns", file=sys.stderr)
+    sys.exit(1)
+print(f"scheduler gate: wheel {times[FLOOD_WHEEL] / 1e3:.0f} us vs heap "
+      f"{times[FLOOD_HEAP] / 1e3:.0f} us per flood burst")
 EOF

@@ -69,13 +69,6 @@ class ProtocolContext {
   /// The owning protocol's S element (null if none installed).
   oc::Component* state();
 
-  /// Typed access to the protocol's S element interface.
-  template <typename T>
-  T* state_as(std::string_view iface) {
-    oc::Component* s = state();
-    return s == nullptr ? nullptr : s->interface_as<T>(iface);
-  }
-
   ManetProtocolCf& protocol() { return proto_; }
 
   /// The owning protocol's metrics registry (per-node when deployed through

@@ -88,7 +88,6 @@ class SimMedium {
 
   // -- channel parameters ------------------------------------------------------
   void set_base_delay(Duration d) { base_delay_ = d; }
-  void set_per_byte_delay(Duration d) { per_byte_delay_ = d; }
   /// Uniform frame loss probability applied per receiver.
   void set_loss_probability(double p) { loss_prob_ = p; }
 

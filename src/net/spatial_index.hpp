@@ -69,7 +69,6 @@ class SpatialGrid {
     }
   }
 
-  std::size_t cell_count() const { return cells_.size(); }
 
  private:
   /// Packs a cell coordinate pair into one map key. Coordinates are biased

@@ -59,7 +59,6 @@ class MprState : public NeighborTable, public IMprState {
   bool drop_duplicate(net::Addr origin, std::uint16_t seq);
   /// All live tuples (expiry re-seeding after restart).
   std::vector<std::pair<net::Addr, std::uint16_t>> duplicate_entries() const;
-  std::size_t duplicate_count() const { return duplicates_.size(); }
 
   std::string describe() const override;
 

@@ -32,14 +32,9 @@ bool SimScheduler::cancel(TimerId id) {
   return true;
 }
 
-std::optional<std::int64_t> SimScheduler::next_event_us() {
-  if (backend_ == SimBackend::kWheel) {
-    auto key = wheel_.peek();
-    if (!key) return std::nullopt;
-    return key->us;
-  }
-  if (queue_.empty()) return std::nullopt;
-  return queue_.begin()->first.us;
+bool SimScheduler::event_due(std::int64_t limit_us) {
+  if (backend_ == SimBackend::kWheel) return wheel_.peek(limit_us).has_value();
+  return !queue_.empty() && queue_.begin()->first.us <= limit_us;
 }
 
 bool SimScheduler::step() {
@@ -72,10 +67,9 @@ bool SimScheduler::step() {
 }
 
 void SimScheduler::run_until(TimePoint t) {
-  for (auto next = next_event_us(); next && *next <= t.us;
-       next = next_event_us()) {
-    step();
-  }
+  // Bounded peeks keep the wheel cursor at or behind t, so whatever the
+  // caller arms after this returns lands at or ahead of the cursor.
+  while (event_due(t.us)) step();
   if (now_ < t) now_ = t;
 }
 

@@ -13,7 +13,6 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 #include "util/time.hpp"
@@ -100,8 +99,9 @@ class SimScheduler final : public Scheduler {
     friend auto operator<=>(const Key&, const Key&) = default;
   };
 
-  /// Fire time of the earliest pending event (advances the wheel cursor).
-  std::optional<std::int64_t> next_event_us();
+  /// True if the earliest pending event is due at or before `limit_us`.
+  /// Advances the wheel cursor, but never past tick(limit_us).
+  bool event_due(std::int64_t limit_us);
 
   SimBackend backend_;
   TimePoint now_{};

@@ -1,5 +1,6 @@
 #include "util/timer_wheel.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <utility>
@@ -23,6 +24,7 @@ std::size_t id_hash(std::uint64_t seq) {
 TimerWheel::TimerWheel()
     : id_keys_(kInitialIdCapacity, 0), id_vals_(kInitialIdCapacity, 0) {
   for (auto& h : heads_) h = kNil;
+  for (auto& t : tails_) t = kNil;
   std::memset(bitmap_, 0, sizeof(bitmap_));
   pool_.reserve(256);
 }
@@ -116,10 +118,22 @@ void TimerWheel::place(std::uint32_t idx) {
                                         (kSlots - 1));
       const int loc = level * kSlots + slot;
       n.loc = static_cast<std::int16_t>(loc);
-      n.prev = kNil;
-      n.next = heads_[loc];
-      if (n.next != kNil) pool_[n.next].prev = idx;
-      heads_[loc] = idx;
+      // Insert after the last entry that fires before this one: the tail
+      // walk of a sorted cursor slot, or none (head push) anywhere else.
+      std::uint32_t after = kNil;
+      if (level == 0 && t == cursor_ && cursor_sorted_) {
+        const Key key{n.us, n.seq};
+        after = tails_[loc];
+        while (after != kNil &&
+               key < Key{pool_[after].us, pool_[after].seq}) {
+          after = pool_[after].prev;
+        }
+      }
+      std::uint32_t& link = after == kNil ? heads_[loc] : pool_[after].next;
+      n.prev = after;
+      n.next = link;
+      link = idx;
+      (n.next == kNil ? tails_[loc] : pool_[n.next].prev) = idx;
       bitmap_[level][slot >> 6] |= std::uint64_t{1} << (slot & 63);
       ++wheel_count_;
       return;
@@ -138,7 +152,11 @@ void TimerWheel::unlink(std::uint32_t idx) {
   } else {
     heads_[loc] = n.next;
   }
-  if (n.next != kNil) pool_[n.next].prev = n.prev;
+  if (n.next != kNil) {
+    pool_[n.next].prev = n.prev;
+  } else {
+    tails_[loc] = n.prev;
+  }
   if (heads_[loc] == kNil) {
     const int level = loc >> kSlotBits;
     const int slot = loc & (kSlots - 1);
@@ -150,7 +168,7 @@ void TimerWheel::unlink(std::uint32_t idx) {
 void TimerWheel::cascade(int level, int slot) {
   const int loc = level * kSlots + slot;
   std::uint32_t h = heads_[loc];
-  heads_[loc] = kNil;
+  heads_[loc] = tails_[loc] = kNil;
   bitmap_[level][slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
   while (h != kNil) {
     const std::uint32_t next = pool_[h].next;
@@ -159,6 +177,30 @@ void TimerWheel::cascade(int level, int slot) {
     place(h);  // strictly descends: the slot's window is now cursor-local
     h = next;
   }
+}
+
+void TimerWheel::move_cursor(std::int64_t tick) {
+  if (tick == cursor_) return;
+  cursor_ = tick;
+  cursor_sorted_ = false;
+}
+
+void TimerWheel::sort_cursor_slot() {
+  const int loc = static_cast<int>(cursor_) & (kSlots - 1);
+  sort_scratch_.clear();
+  for (std::uint32_t i = heads_[loc]; i != kNil; i = pool_[i].next) {
+    sort_scratch_.emplace_back(Key{pool_[i].us, pool_[i].seq}, i);
+  }
+  std::sort(sort_scratch_.begin(), sort_scratch_.end());
+  std::uint32_t prev = kNil;
+  for (const auto& [key, idx] : sort_scratch_) {
+    pool_[idx].prev = prev;
+    (prev == kNil ? heads_[loc] : pool_[prev].next) = idx;
+    prev = idx;
+  }
+  if (prev != kNil) pool_[prev].next = kNil;
+  tails_[loc] = prev;
+  cursor_sorted_ = true;
 }
 
 int TimerWheel::first_slot(int level) const {
@@ -174,7 +216,10 @@ int TimerWheel::first_slot(int level) const {
 
 void TimerWheel::insert(std::int64_t us, std::uint64_t seq,
                         std::function<void()> fn) {
-  if (size_ == 0) cursor_ = tick_of(us);  // nothing pending: re-anchor
+  // Nothing in the wheel: re-anchor backwards so a deadline behind the
+  // cursor gets its own slot instead of a clamp. Never forwards — that
+  // would run the cursor ahead of the driver's clock.
+  if (wheel_count_ == 0 && tick_of(us) < cursor_) move_cursor(tick_of(us));
   const std::uint32_t idx = alloc_node();
   Node& n = pool_[idx];
   n.us = us;
@@ -186,6 +231,9 @@ void TimerWheel::insert(std::int64_t us, std::uint64_t seq,
 }
 
 bool TimerWheel::cancel(std::uint64_t seq) {
+  // 0 (kInvalidTimer) is never armed, and it is the id index's empty-cell
+  // marker: probing for it would "find" an empty cell.
+  if (seq == 0) return false;
   const std::uint32_t idx = id_take(seq);
   if (idx == kNil) return false;
   Node& n = pool_[idx];
@@ -200,71 +248,68 @@ bool TimerWheel::cancel(std::uint64_t seq) {
   return true;
 }
 
-std::optional<TimerWheel::Key> TimerWheel::peek() {
+std::optional<TimerWheel::Key> TimerWheel::peek(std::int64_t limit_us) {
   if (size_ == 0) return std::nullopt;
-  std::optional<Key> wheel_min;
-  if (wheel_count_ > 0) {
-    for (;;) {
-      const int s0 = first_slot(0);
-      if (s0 >= 0) {
-        cursor_ = (cursor_ & ~static_cast<std::int64_t>(kSlots - 1)) + s0;
-        std::uint32_t best = kNil;
-        for (std::uint32_t i = heads_[s0]; i != kNil; i = pool_[i].next) {
-          if (best == kNil ||
-              Key{pool_[i].us, pool_[i].seq} < Key{pool_[best].us,
-                                                   pool_[best].seq}) {
-            best = i;
-          }
-        }
-        wheel_min = Key{pool_[best].us, pool_[best].seq};
+  const std::int64_t limit_tick = tick_of(limit_us);
+  std::optional<Key> best;
+  while (wheel_count_ > 0) {
+    const int s0 = first_slot(0);
+    if (s0 >= 0) {
+      const std::int64_t t0 =
+          (cursor_ & ~static_cast<std::int64_t>(kSlots - 1)) + s0;
+      // The cursor's own slot is examined whatever the limit: it can hold
+      // entries clamped there that are due before its tick.
+      if (t0 != cursor_ && t0 > limit_tick) break;
+      move_cursor(t0);
+      if (!cursor_sorted_) sort_cursor_slot();
+      const Node& head = pool_[heads_[s0]];
+      best = Key{head.us, head.seq};
+      break;
+    }
+    // Level 0 exhausted: jump to the next occupied slot at the lowest
+    // occupied level (its entries are the earliest anywhere above) and
+    // cascade it down into the window the cursor just entered.
+    int level = -1;
+    int slot = -1;
+    for (int l = 1; l < kLevels; ++l) {
+      const int s = first_slot(l);
+      if (s >= 0) {
+        level = l;
+        slot = s;
         break;
       }
-      // Level 0 exhausted: jump to the next occupied slot at the lowest
-      // occupied level (its entries are the earliest anywhere above) and
-      // cascade it down into the window the cursor just entered.
-      int level = -1;
-      int slot = -1;
-      for (int l = 1; l < kLevels; ++l) {
-        const int s = first_slot(l);
-        if (s >= 0) {
-          level = l;
-          slot = s;
-          break;
-        }
-      }
-      MK_ASSERT(level > 0, "wheel count positive but no occupied slot");
-      const std::int64_t base = cursor_ & ~(level_span(level) - 1);
-      cursor_ = base + slot * slot_span(level);
-      cascade(level, slot);
     }
+    MK_ASSERT(level > 0, "wheel count positive but no occupied slot");
+    const std::int64_t base = cursor_ & ~(level_span(level) - 1);
+    const std::int64_t start = base + slot * slot_span(level);
+    if (start > limit_tick) break;
+    move_cursor(start);
+    cascade(level, slot);
   }
   if (!overflow_.empty()) {
     const Key& front = overflow_.begin()->first;
-    if (!wheel_min || front < *wheel_min) return front;
+    if (!best || front < *best) best = front;
   }
-  return wheel_min;
+  if (best && best->us > limit_us) return std::nullopt;
+  return best;
 }
 
 bool TimerWheel::pop(Key& key, std::function<void()>& fn) {
   auto k = peek();
   if (!k) return false;
   key = *k;
+  std::uint32_t idx;
   if (!overflow_.empty() && overflow_.begin()->first == *k) {
-    const std::uint32_t idx = overflow_.begin()->second;
+    idx = overflow_.begin()->second;
     overflow_.erase(overflow_.begin());
-    fn = std::move(pool_[idx].fn);
-    id_take(k->seq);
-    free_node(idx);
-    --size_;
-    return true;
+  } else {
+    // peek() left the minimum at the head of the sorted cursor slot.
+    idx = heads_[static_cast<int>(cursor_) & (kSlots - 1)];
+    MK_ASSERT(idx != kNil && pool_[idx].seq == k->seq,
+              "peeked minimum is not the head of the cursor slot");
+    unlink(idx);
+    --wheel_count_;
   }
-  // peek() left the cursor on the slot holding the minimum.
-  const int loc = static_cast<int>(cursor_) & (kSlots - 1);
-  std::uint32_t idx = heads_[loc];
-  while (idx != kNil && pool_[idx].seq != k->seq) idx = pool_[idx].next;
-  MK_ASSERT(idx != kNil, "peeked minimum vanished from its slot");
-  unlink(idx);
-  --wheel_count_;
   fn = std::move(pool_[idx].fn);
   id_take(k->seq);
   free_node(idx);

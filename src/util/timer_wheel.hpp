@@ -1,9 +1,9 @@
 // Hierarchical timing wheel (Varghese & Lauck) backing SimScheduler's
-// discrete-event queue (ISSUE 6). The comparison heap costs two map-node
-// allocations per arm and O(log n) per arm/cancel; with the soft-state
-// expiry layer arming one deadline per link/neighbor/topology entry, timer
-// traffic dominates scheduled work, so arm/cancel must be O(1) and
-// allocation-free in steady state.
+// discrete-event queue. The comparison heap costs two map-node allocations
+// per arm and O(log n) per arm/cancel; with the soft-state expiry layer
+// arming one deadline per link/neighbor/topology entry, timer traffic
+// dominates scheduled work, so arm/cancel must be O(1) and allocation-free
+// in steady state.
 //
 // Shape: 4 levels x 256 slots over a 1024 us tick. Level 0 resolves single
 // ticks (~0.26 s horizon); each higher level covers 256x the span of the one
@@ -14,6 +14,24 @@
 // occupancy bitmaps make empty-region scans word-sized jumps, and an
 // open-addressed id index gives O(1) cancel by TimerId.
 //
+// Per-slot order: every slot is an unordered head-push list except the
+// level-0 slot under the cursor once peek() has reached it. That slot is
+// sorted by (us, seq) once, on entry, and kept sorted: later inserts into it
+// walk back from the slot's tail to their place. The minimum is then the
+// slot's head and pop() unlinks it in O(1), where a scan of the slot made
+// each pop O(k) — and a dense flood puts thousands of deliveries into one
+// 1024 us tick. Costs moved elsewhere: entering a slot of k entries sorts it
+// in O(k log k), and an insert into the draining slot steps past every entry
+// due after it, O(k) at worst; new deadlines are nearly always the latest in
+// the slot, so the walk is short (about 3 steps on a dense DYMO flood).
+//
+// Cursor: the tick before which no wheel entry fires. peek(limit) never
+// moves it past tick(limit), and an insert into an empty wheel only moves it
+// backwards, so a driver that peeks with its clock as the limit keeps the
+// cursor at or behind now() and its inserts are never clamped. Deadlines
+// behind the cursor (direct wheel users) still land in the cursor's own slot
+// and fire first, in (us, seq) order.
+//
 // Determinism contract (the journal digests hang off this): entries pop in
 // strict (us, seq) order, FIFO among equal deadlines, and ids are the same
 // caller-assigned sequence numbers the comparison heap hands out — so a
@@ -23,8 +41,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace mk {
@@ -48,12 +68,16 @@ class TimerWheel {
   /// cancelled).
   bool cancel(std::uint64_t seq);
 
-  /// Key of the earliest pending entry without removing it. Advances the
-  /// internal cursor over empty slots (cascading higher levels as windows
-  /// open), which is safe: the cursor never passes a pending entry.
-  std::optional<Key> peek();
+  /// Key of the earliest pending entry if it is due at or before
+  /// `limit_us`, else nullopt; never removes it. Advances the internal
+  /// cursor over empty slots (cascading higher levels as windows open) but
+  /// never past tick(limit_us) and never past a pending entry, and sorts the
+  /// level-0 slot it lands on.
+  std::optional<Key> peek(
+      std::int64_t limit_us = std::numeric_limits<std::int64_t>::max());
 
-  /// Removes and returns the earliest pending entry.
+  /// Removes and returns the earliest pending entry (the head of the sorted
+  /// cursor slot, or the overflow minimum).
   bool pop(Key& key, std::function<void()>& fn);
 
   std::size_t size() const { return size_; }
@@ -93,9 +117,14 @@ class TimerWheel {
   void free_node(std::uint32_t idx);
   /// Places node `idx` by its tick relative to the cursor (level choice per
   /// the current-rotation rule; ticks at/behind the cursor land in the
-  /// cursor's own level-0 slot so the scan finds them immediately).
+  /// cursor's own level-0 slot so the scan finds them immediately). Into a
+  /// sorted cursor slot it goes in (us, seq) order, elsewhere at the head.
   void place(std::uint32_t idx);
   void unlink(std::uint32_t idx);
+  /// Moves the cursor; the slot under a new cursor position is unsorted.
+  void move_cursor(std::int64_t tick);
+  /// Sorts the cursor's level-0 slot by (us, seq) and marks it sorted.
+  void sort_cursor_slot();
   /// Re-places every node in (level, slot) after the cursor entered that
   /// slot's window — all of them now fit a lower level.
   void cascade(int level, int slot);
@@ -112,8 +141,13 @@ class TimerWheel {
   std::vector<Node> pool_;
   std::uint32_t free_head_ = kNil;
   std::uint32_t heads_[kLevels * kSlots];
+  std::uint32_t tails_[kLevels * kSlots];
   std::uint64_t bitmap_[kLevels][kSlots / 64];
   std::int64_t cursor_ = 0;  // tick: no wheel entry fires before it
+  // The level-0 slot at cursor_ is in (us, seq) order. Only that slot is
+  // ever sorted: the cursor leaves a level-0 slot only once it is empty.
+  bool cursor_sorted_ = false;
+  std::vector<std::pair<Key, std::uint32_t>> sort_scratch_;
   std::size_t size_ = 0;        // wheel + overflow
   std::size_t wheel_count_ = 0; // wheel only
   std::map<Key, std::uint32_t> overflow_;

@@ -1,9 +1,11 @@
-// Hierarchical timing wheel (ISSUE 6): ordering, cascade boundaries,
-// cancel-in-flight, zero-delay arms, overflow horizon, and randomized
-// heap-vs-wheel parity at both the wheel and the SimScheduler level.
+// Hierarchical timing wheel: ordering, cascade boundaries, cancel-in-flight,
+// zero-delay arms, overflow horizon, bounded peeks, and randomized
+// heap-vs-wheel parity at both the wheel and the SimScheduler level —
+// including dense floods that insert into the sorted slot being drained.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -112,6 +114,20 @@ TEST(TimerWheel, CancelRemovesPendingEntries) {
   EXPECT_EQ(keys[0].seq, 1u);
 }
 
+TEST(TimerWheel, CancelOfTheInvalidIdIsANoOp) {
+  // Callers hold kInvalidTimer (0) for "nothing armed" and cancel it
+  // unconditionally; that must not disturb the pending entries.
+  TimerWheel wheel;
+  wheel.insert(100, 1, [] {});
+  wheel.insert(200, 2, [] {});
+  EXPECT_FALSE(wheel.cancel(kInvalidTimer));
+  EXPECT_EQ(wheel.size(), 2u);
+  auto keys = drain(wheel);
+  ASSERT_EQ(keys.size(), 2u);
+  EXPECT_EQ(keys[0].seq, 1u);
+  EXPECT_EQ(keys[1].seq, 2u);
+}
+
 TEST(TimerWheel, CancelInFlightFromACallback) {
   // A firing callback cancels a peer armed for the same tick and a later one:
   // neither must fire, and the wheel must stay consistent.
@@ -180,6 +196,95 @@ TEST(TimerWheel, RandomizedParityAgainstSortedReference) {
       << "wheel fire order diverged from the sorted reference";
 }
 
+TEST(TimerWheel, BoundedPeekStillSeesEntriesClampedIntoTheCursorSlot) {
+  TimerWheel wheel;
+  wheel.insert(5 * kTick, 1, [] {});
+  wheel.insert(200 * kTick, 2, [] {});
+  TimerWheel::Key key;
+  std::function<void()> fn;
+  ASSERT_TRUE(wheel.pop(key, fn));  // cursor now on tick 5
+  EXPECT_FALSE(wheel.peek(10 * kTick).has_value());
+  // Behind the cursor: clamped into its slot, yet due before any limit
+  // past its own time, even one whose tick is behind the cursor.
+  wheel.insert(100, 3, [] {});
+  auto due = wheel.peek(200);
+  ASSERT_TRUE(due.has_value());
+  EXPECT_EQ(*due, (TimerWheel::Key{100, 3}));
+  EXPECT_FALSE(wheel.peek(99).has_value());
+  auto keys = drain(wheel);
+  ASSERT_EQ(keys.size(), 2u);
+  EXPECT_EQ(keys[0].seq, 3u);
+  EXPECT_EQ(keys[1].seq, 2u);
+}
+
+TEST(TimerWheel, DenseSameTickParityAgainstSortedReference) {
+  // Thousands of entries inside two ticks, drained while the test keeps
+  // arming into the sorted slot being drained (same us, later us in the
+  // tick), behind the cursor and into the next tick, and cancels entries
+  // of the sorted slot — both directly and from the popped callback.
+  Rng rng(4242);
+  TimerWheel wheel;
+  std::set<TimerWheel::Key> pending;
+  std::vector<std::int64_t> us_of{-1};  // by seq; -1 once popped/cancelled
+  const std::int64_t tick0 = 40 * kTick;
+  auto arm = [&](std::int64_t us, std::function<void()> fn) {
+    const auto seq = static_cast<std::uint64_t>(us_of.size());
+    wheel.insert(us, seq, std::move(fn));
+    pending.insert({us, seq});
+    us_of.push_back(us);
+  };
+  auto cancel_random = [&] {
+    const std::uint64_t victim = 1 + rng.next_u64() % (us_of.size() - 1);
+    const bool live = us_of[victim] >= 0;
+    EXPECT_EQ(wheel.cancel(victim), live) << "seq " << victim;
+    if (live) pending.erase({us_of[victim], victim});
+    us_of[victim] = -1;
+  };
+  auto callback = [&] {
+    if (rng.next_u64() % 4 == 0) cancel_random();
+  };
+  for (int i = 0; i < 4000; ++i) {
+    // 64 distinct deadlines over two ticks: long FIFO runs of equal us.
+    arm(tick0 + static_cast<std::int64_t>(rng.next_u64() % 64) * (kTick / 32),
+        callback);
+  }
+  std::size_t pops = 0;
+  TimerWheel::Key key;
+  std::function<void()> fn;
+  while (wheel.pop(key, fn)) {
+    ASSERT_FALSE(pending.empty());
+    ASSERT_EQ(key, *pending.begin()) << "pop " << pops;
+    pending.erase(pending.begin());
+    us_of[key.seq] = -1;
+    ++pops;
+    fn();
+    if (us_of.size() < 9000) {
+      const std::int64_t tick_end = (key.us / kTick + 1) * kTick;
+      switch (rng.next_u64() % 6) {
+        case 0: arm(key.us, callback); break;  // equal deadline, later seq
+        case 1:
+          arm(key.us + static_cast<std::int64_t>(
+                           rng.next_u64() % (tick_end - key.us)),
+              callback);
+          break;
+        case 2:  // behind the cursor
+          arm(key.us - 1 - static_cast<std::int64_t>(rng.next_u64() % kTick),
+              callback);
+          break;
+        case 3:  // next tick: an unsorted slot, sorted on entry
+          arm(tick_end + static_cast<std::int64_t>(rng.next_u64() % kTick),
+              callback);
+          break;
+        case 4: cancel_random(); break;
+        default: break;
+      }
+    }
+    ASSERT_EQ(wheel.size(), pending.size());
+  }
+  EXPECT_TRUE(pending.empty());
+  EXPECT_GT(pops, 4000u);
+}
+
 // ---------------------------------------------------------------- scheduler
 
 TEST(SimSchedulerBackend, WheelAndHeapRunIdenticalSchedules) {
@@ -218,6 +323,48 @@ TEST(SimSchedulerBackend, WheelHandlesSelfReschedulingChains) {
   sched.run_all();
   EXPECT_EQ(depth, 64);
   EXPECT_EQ(sched.now().us, 64 * 1000);
+}
+
+TEST(SimSchedulerBackend, WheelAndHeapAgreeOnAFloodDrivenByRunUntil) {
+  // Flood-shaped schedule: every callback fans out 0-3 children 500-1500 us
+  // ahead and sometimes cancels an earlier timer, so each tick holds
+  // thousands of entries while run_until steps (shorter and longer than a
+  // tick) keep arming into the slot being drained.
+  auto run = [](SimBackend backend) {
+    SimScheduler sched(backend);
+    Rng rng(99);
+    std::vector<std::pair<std::int64_t, TimerId>> fired;
+    sched.set_fire_hook([&](TimerId id, TimePoint at) {
+      fired.emplace_back(at.us, id);
+    });
+    std::vector<TimerId> ids;
+    std::size_t budget = 30000;
+    std::function<void()> relay = [&] {
+      const auto fan = rng.next_u64() % 4;
+      for (std::uint64_t i = 0; i < fan && budget > 0; ++i, --budget) {
+        ids.push_back(sched.schedule_after(
+            usec(500 + static_cast<std::int64_t>(rng.next_u64() % 1001)),
+            relay));
+      }
+      if (rng.next_u64() % 16 == 0) {
+        sched.cancel(ids[rng.next_u64() % ids.size()]);
+      }
+    };
+    for (int s = 0; s < 8; ++s) {
+      ids.push_back(sched.schedule_at(
+          TimePoint{s * 3000 + static_cast<std::int64_t>(rng.next_u64() % 1000)},
+          relay));
+    }
+    while (sched.pending() > 0) {
+      sched.run_for(usec(300 + static_cast<std::int64_t>(rng.next_u64() % 1700)));
+    }
+    return fired;
+  };
+  auto wheel = run(SimBackend::kWheel);
+  auto heap = run(SimBackend::kHeap);
+  EXPECT_GT(wheel.size(), 10000u);
+  ASSERT_EQ(wheel.size(), heap.size());
+  EXPECT_EQ(wheel, heap) << "backends disagreed on fire order or timer ids";
 }
 
 }  // namespace
