@@ -24,6 +24,7 @@
 #include "protocols/hello_codec.hpp"
 #include "protocols/mpr/mpr_calculator.hpp"
 #include "protocols/olsr/olsr_cf.hpp"
+#include "protocols/olsr/power_aware.hpp"
 #include "testbed/world.hpp"
 #include "util/mem.hpp"
 #include "util/memtrack.hpp"
@@ -347,6 +348,62 @@ void BM_OlsrWorld50Second(benchmark::State& state) {
                          benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_OlsrWorld50Second)->Iterations(5)->Unit(benchmark::kMillisecond);
+
+// One forced full OLSR route recompute per iteration, on the converged
+// world of BM_OlsrWorld50Second (8 sim-s warm-up, then frozen). Each
+// iteration re-sets the residual energy of an address outside the world on
+// one node, cycling through all 50: that moves OlsrState::version(), so the
+// calculator's memo misses and the run rebuilds its adjacency, runs
+// Dijkstra and syncs the kernel table, yet no route changes. /energy
+// applies the power-aware variant everywhere first, so every relay's cost
+// is a residual-energy lookup. route_recomputes per op must read 1.
+void BM_OlsrRouteRecompute(benchmark::State& state, bool energy) {
+  testbed::SimWorld world(50, /*seed=*/1234);
+  net::RandomWaypoint::Params p;
+  p.width = 1000.0;
+  p.height = 1000.0;
+  p.range = 250.0;
+  p.max_speed = 4.0;
+  world.enable_mobility(p, /*seed=*/7);
+  world.deploy_all("olsr");
+  if (energy) {
+    for (std::size_t i = 0; i < world.size(); ++i) {
+      world.node(i).set_battery(0.2 + 0.8 * static_cast<double>(i % 9) / 8.0);
+      world.kit(i).system().ensure_power_status(sec(1));
+      proto::apply_power_aware(world.kit(i));
+    }
+  }
+  for (int s = 0; s < 80; ++s) world.step_mobility(msec(100));
+
+  auto total = [&world](const char* name) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < world.size(); ++i) {
+      sum += world.kit(i).metrics().counter_value(name);
+    }
+    return static_cast<double>(sum);
+  };
+  const net::Addr outside = net::addr_for_index(1000);
+  const double runs0 = total("olsr.route_recomputes");
+  std::size_t node = 0;
+  double level = 0.5;
+  for (auto _ : state) {
+    core::ManetProtocolCf& olsr = *world.kit(node).protocol("olsr");
+    proto::olsr_state(olsr)->set_energy(outside, level);
+    proto::olsr_recompute_routes(olsr);
+    benchmark::DoNotOptimize(world.node(node).kernel_table().generation());
+    benchmark::DoNotOptimize(
+        proto::olsr_state(olsr)->installed_dests().data());
+    if (++node == world.size()) {
+      node = 0;
+      level = level == 0.5 ? 0.6 : 0.5;
+    }
+  }
+  state.counters["route_recomputes"] = benchmark::Counter(
+      total("olsr.route_recomputes") - runs0,
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK_CAPTURE(BM_OlsrRouteRecompute, hop, false);
+BENCHMARK_CAPTURE(BM_OlsrRouteRecompute, energy, true);
 
 // Mobile-world stepping at scale: n nodes under RandomWaypoint on a field
 // sized for constant density (~5 neighbours/node at range 250), one

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Runs the micro hot-path benchmarks and records the results (plus the
-# pre-zero-copy baseline measured on the same container class) in
-# BENCH_hotpaths.json at the repo root.
+# Runs the micro hot-path benchmarks and records the results in
+# BENCH_hotpaths.json at the repo root. Every baseline in the report is
+# measured on the same host: either in the same run (the reference-backend
+# rows) or in the paired runs below.
 #
 # Also enforces the steady-state allocation budget: BM_OlsrWorldSecond/1
 # (traced 5-node OLSR world, pooled memory backend) must stay within
@@ -13,13 +14,17 @@
 # carries as the wheel row's baseline_ns.
 #
 # With a second build directory (a build of the code before a change), the
-# OLSR world and scheduler flood benches (BM_OlsrWorld*,
-# BM_SchedulerFloodBurst*) are also run as same-host pairs: five rounds,
-# each running that subset from both builds in alternating order.
-# Each matching row gains the medians over the pairs: paired_real_time_ns
-# (this build), before_real_time_ns and before_allocs_per_op (the other
-# build), and before_speedup (before / paired). MK_BEFORE_LABEL names the
-# other build in the report (e.g. the commit it was built from).
+# OLSR world, route recompute and scheduler flood benches (BM_OlsrWorld*,
+# BM_OlsrRouteRecompute*, BM_SchedulerFloodBurst*) are also run as same-host
+# pairs: ten rounds, each running that subset from both builds in
+# alternating order. Each matching row gains the medians over the rounds:
+# paired_real_time_ns (this build), before_real_time_ns and
+# before_allocs_per_op (the other build), and before_speedup (before /
+# paired); paired_quartiles_ns and before_quartiles_ns hold each side's
+# [q1, q3]. A row whose medians differ by no more than the before side's
+# interquartile range is flagged `unresolved: true`: host noise alone can
+# explain its before_speedup. MK_BEFORE_LABEL names the other build in the
+# report (e.g. the commit it was built from).
 #
 # Usage: bench/run_hotpaths.sh [build-dir] [before-build-dir]
 set -euo pipefail
@@ -44,22 +49,19 @@ pairs="$(mktemp -d)"
 trap 'rm -rf "$raw" "$pairs"' EXIT
 "$bench_bin" --benchmark_min_time=0.05 --benchmark_format=json > "$raw"
 if [[ -n "$before_bin" ]]; then
-  for ((i = 0; i < 5; i++)); do
+  for ((i = 0; i < 10; i++)); do
     order=(after before)
     ((i % 2)) && order=(before after)
     for side in "${order[@]}"; do
       bin="$bench_bin"
       [[ "$side" == before ]] && bin="$before_bin"
       "$bin" --benchmark_min_time=0.2 --benchmark_format=json \
-        --benchmark_filter='^(BM_OlsrWorld|BM_SchedulerFloodBurst)' \
+        --benchmark_filter='^(BM_OlsrWorld|BM_OlsrRouteRecompute|BM_SchedulerFloodBurst)' \
         > "$pairs/$side.$i.json"
     done
   done
 fi
 
-# Pre-zero-copy numbers (same bench, commit before the shared-payload / COW /
-# single-allocation-serialize change), kept here so the report always carries
-# its reference point.
 MK_BEFORE_LABEL="${MK_BEFORE_LABEL:-}" \
 python3 - "$raw" "$repo_root/BENCH_hotpaths.json" "$pairs" <<'EOF'
 import glob
@@ -67,21 +69,6 @@ import json
 import os
 import statistics
 import sys
-
-BASELINE_NS = {
-    "BM_PacketBBSerialize/2": 459.1,
-    "BM_PacketBBSerialize/8": 459.9,
-    "BM_PacketBBSerialize/32": 694.0,
-    "BM_PacketBBParse/2": 329.4,
-    "BM_PacketBBParse/8": 332.5,
-    "BM_PacketBBParse/32": 417.9,
-    "BM_EventRouting/1": 137.7,
-    "BM_EventRouting/3": 423.4,
-    "BM_EventRouting/8": 847.7,
-    "BM_MprSelection/8": 10863.7,
-    "BM_MprSelection/32": 98454.0,
-    "BM_MprSelection/128": 1136201.2,
-}
 
 raw = json.load(open(sys.argv[1]))
 benches = raw.get("benchmarks", [])
@@ -96,8 +83,16 @@ for b in benches:
     b["cpu_time"] *= scale
 
 
+def quartiles(xs):
+    """(q1, median, q3) of a sample (inclusive method, any size >= 1)."""
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
 def paired(side):
-    """name -> (median real_time ns, median allocs_per_op or None)."""
+    """name -> ((q1, median, q3) real_time ns, median allocs_per_op or None)."""
     runs = {}
     for path in glob.glob(os.path.join(sys.argv[3], side + ".*.json")):
         for b in json.load(open(path)).get("benchmarks", []):
@@ -107,7 +102,7 @@ def paired(side):
     out = {}
     for name, rs in runs.items():
         allocs = [a for _, a in rs if a is not None]
-        out[name] = (statistics.median(t for t, _ in rs),
+        out[name] = (quartiles([t for t, _ in rs]),
                      statistics.median(allocs) if allocs else None)
     return out
 
@@ -144,27 +139,29 @@ for b in benches:
                     "route_recompute_skips", "events"):
         if counter in b:
             entry[counter] = round(b[counter], 2)
-    if b["name"] in BASELINE_NS:
-        entry["baseline_ns"] = BASELINE_NS[b["name"]]
-        entry["speedup"] = round(BASELINE_NS[b["name"]] / b["real_time"], 2)
-    elif b["name"] in ref_ns:
+    if b["name"] in ref_ns:
         entry["baseline_ns"] = round(ref_ns[b["name"]], 1)
         entry["speedup"] = round(ref_ns[b["name"]] / b["real_time"], 2)
     if b["name"] in before_pairs and b["name"] in after_pairs:
-        new_ns = after_pairs[b["name"]][0]
-        old_ns, old_allocs = before_pairs[b["name"]]
-        entry["paired_real_time_ns"] = round(new_ns, 1)
-        entry["before_real_time_ns"] = round(old_ns, 1)
+        new_q = after_pairs[b["name"]][0]
+        old_q, old_allocs = before_pairs[b["name"]]
+        entry["paired_real_time_ns"] = round(new_q[1], 1)
+        entry["paired_quartiles_ns"] = [round(new_q[0], 1), round(new_q[2], 1)]
+        entry["before_real_time_ns"] = round(old_q[1], 1)
+        entry["before_quartiles_ns"] = [round(old_q[0], 1), round(old_q[2], 1)]
         if old_allocs is not None:
             entry["before_allocs_per_op"] = round(old_allocs, 2)
-        entry["before_speedup"] = round(old_ns / new_ns, 2)
+        entry["before_speedup"] = round(old_q[1] / new_q[1], 2)
+        if abs(old_q[1] - new_q[1]) <= old_q[2] - old_q[0]:
+            entry["unresolved"] = True
     results.append(entry)
 
 report = {
     "bench": "micro_hotpaths",
-    "note": "zero-copy hot path: shared frame payloads, COW event messages, "
-            "single-allocation PacketBB serialization. baseline_ns columns "
-            "are the pre-change numbers for the same benchmark. "
+    "note": "Micro hot paths of the shared stack (PacketBB codec, event "
+            "routing, broadcast fan-out, MPR selection, OLSR route "
+            "computation, scheduler). baseline_ns columns are same-run "
+            "reference measurements, never constants from another host. "
             "BM_OlsrWorldSecond/2 adds an armed-but-idle fault plan on top "
             "of tracing (/1): the delta between the two is the fault "
             "injection overhead when no faults fire. "
@@ -190,7 +187,14 @@ report = {
             "route calculator's memo counters per op. before_* and "
             "paired_real_time_ns columns, where present, are medians over "
             "alternating same-host runs of this build and a build of the "
-            "code before the change (see before_label and before_pairs). "
+            "code before the change (see before_label and before_pairs); "
+            "paired_quartiles_ns/before_quartiles_ns are each side's [q1, q3] "
+            "and `unresolved` marks a row whose medians differ by no more "
+            "than the before side's interquartile range. "
+            "BM_OlsrRouteRecompute/{hop,energy} force one full route "
+            "recompute per op on that world once converged (a memo miss "
+            "that changes no route), with the min-hop and the power-aware "
+            "calculator. "
             "BM_WorldSecond/{100,1000} steps a RandomWaypoint world one "
             "sim-second on the spatial-hash grid topology backend; its "
             "baseline_ns column is BM_WorldSecondRef (the exhaustive O(n^2) "

@@ -188,8 +188,11 @@ class TopologyChangeHandler final : public core::EventHandler {
     }
     // Coalesced follow-up re-emission (safe: the protocol CF outlives its
     // handlers only across replace, which cancels via OneShotTimer's dtor).
+    // A node crashed in the meantime stays silent: its stopped MPR CF has
+    // no soft-state context to forward through.
     core::ManetProtocolCf* proto = &ctx.protocol();
     reemit_.schedule(kReemitDelay, [this, proto] {
+      if (!proto->running()) return;
       auto lock = proto->quiesce();
       emit_tc(proto->context(), mpr_cf_);
     });
