@@ -21,11 +21,13 @@
 #include "net/medium.hpp"
 #include "net/node.hpp"
 #include "obs/journal.hpp"
+#include "protocols/dymo/dymo_cf.hpp"
 #include "protocols/hello_codec.hpp"
 #include "protocols/mpr/mpr_calculator.hpp"
 #include "protocols/olsr/olsr_cf.hpp"
 #include "protocols/olsr/power_aware.hpp"
 #include "testbed/world.hpp"
+#include "util/bytebuffer.hpp"
 #include "util/mem.hpp"
 #include "util/memtrack.hpp"
 #include "util/rng.hpp"
@@ -603,6 +605,136 @@ BENCHMARK_CAPTURE(BM_SchedulerFloodBurst, wheel, SimBackend::kWheel)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_SchedulerFloodBurst, heap, SimBackend::kHeap)
     ->Unit(benchmark::kMicrosecond);
+
+// One DYMO route-request hop on a node of a converged 150-node world (a
+// 15-wide grid, every node having flooded one discovery): receipt (parse
+// and dispatch), learning routes to the originator and the four relays on
+// the accumulated path, the duplicate check, and the rebroadcast with this
+// node appended. Each hop carries a fresh (originator, seqnum), cycling
+// through the world's nodes. /mkit runs MANETKit's DYMO CF and /dymoum the
+// monolithic DYMOUM stand-in on the same world and request stream;
+// bench/run_hotpaths.sh reports /dymoum as the /mkit row's baseline_ns.
+// The node's links are cut once the world has converged, so rebroadcasts
+// reach nobody. Every 256 hops the clock pauses while the world runs
+// 200 ms of sim time: that expires the hops' duplicate tuples (held 100 ms
+// here), while every route (held 5 s) is refreshed by each batch.
+// allocs_per_op counts the timed hops only.
+enum class RmHopStack { kMkit, kDymoum };
+
+void BM_DymoRmHop(benchmark::State& state, RmHopStack stack) {
+  constexpr std::size_t kNodes = 150;
+  constexpr std::size_t kSelf = 82;  // mid-grid
+  constexpr std::size_t kBatch = 256;
+  constexpr std::size_t kRelays = 4;
+  constexpr std::uint8_t kHopLimit = 10;
+  constexpr std::uint16_t kRelaySeq = 7;
+  testbed::SimWorld world(kNodes, /*seed=*/42);
+  world.grid(15);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    if (stack == RmHopStack::kMkit) {
+      proto::DymoParams params;
+      params.duplicate_hold = msec(100);
+      proto::register_dymo(world.kit(i), params);
+      world.kit(i).deploy("dymo");
+    } else {
+      baseline::DymoumParams params;
+      params.duplicate_hold = msec(100);
+      params.sweep_interval = msec(50);
+      world.dymoum(i, params);
+    }
+  }
+  world.run_for(sec(2));
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    world.node(i).forwarding().send(world.addr((i + kNodes / 2) % kNodes), 64);
+  }
+  world.run_for(sec(3));
+  const net::Addr self = world.addr(kSelf);
+  const net::Addr from = world.addr(kSelf - 1);  // a former neighbour
+  const std::vector<net::Addr> nbrs(world.medium().neighbors_of(self).begin(),
+                                    world.medium().neighbors_of(self).end());
+  for (net::Addr nb : nbrs) world.medium().set_link(self, nb, false);
+
+  // A request from world node `o` toward the node opposite it, relayed by
+  // o+1..o+4, as it arrives here: four hops done, six to go.
+  auto mkit_frame = [&](std::size_t o, std::uint16_t seq) {
+    pbb::Message m = proto::rm::build_rreq(
+        world.addr(o), seq, world.addr((o + kNodes / 2) % kNodes), kHopLimit);
+    for (std::size_t j = 1; j <= kRelays; ++j) {
+      m.hop_limit -= 1;
+      m.hop_count += 1;
+      proto::rm::append_self(m, world.addr((o + j) % kNodes), kRelaySeq);
+    }
+    pbb::Packet p;
+    p.messages.push_back(std::move(m));
+    return net::make_payload(pbb::serialize(p));
+  };
+  // The same request in DYMOUM's wire format (baselines/dymoum.cpp):
+  // kind | orig | orig seq | target | hop limit | hop count | n | path.
+  auto dymoum_frame = [&](std::size_t o, std::uint16_t seq) {
+    ByteWriter w;
+    w.put_u8(1);  // RREQ
+    w.put_u32(world.addr(o));
+    w.put_u16(seq);
+    w.put_u32(world.addr((o + kNodes / 2) % kNodes));
+    w.put_u8(static_cast<std::uint8_t>(kHopLimit - kRelays));
+    w.put_u8(static_cast<std::uint8_t>(kRelays));
+    w.put_u8(static_cast<std::uint8_t>(kRelays));
+    for (std::size_t j = 1; j <= kRelays; ++j) {
+      w.put_u32(world.addr((o + j) % kNodes));
+      w.put_u16(kRelaySeq);
+      w.put_u8(static_cast<std::uint8_t>(j));
+    }
+    return net::make_payload(w.take());
+  };
+
+  std::vector<net::Frame> batch(kBatch);
+  std::size_t origin = 0;
+  std::uint16_t seq = 1;
+  auto refill = [&] {
+    for (net::Frame& f : batch) {
+      // Skip originators whose request names this node (it would answer or
+      // learn nothing about itself instead of relaying).
+      auto names_self = [&](std::size_t o) {
+        for (std::size_t j = 0; j <= kRelays; ++j) {
+          if ((o + j) % kNodes == kSelf) return true;
+        }
+        return (o + kNodes / 2) % kNodes == kSelf;
+      };
+      do {
+        if (++origin == kNodes) {
+          origin = 0;
+          ++seq;
+        }
+      } while (names_self(origin));
+      f.tx = from;
+      f.kind = net::FrameKind::kControl;
+      f.payload = stack == RmHopStack::kMkit ? mkit_frame(origin, seq)
+                                             : dymoum_frame(origin, seq);
+    }
+  };
+
+  net::NetworkDevice& device = world.node(kSelf).device();
+  std::size_t next = kBatch;
+  std::uint64_t timed_allocs = 0;
+  std::uint64_t mark = memtrack::snapshot().total_allocs;
+  for (auto _ : state) {
+    if (next == kBatch) {
+      timed_allocs += memtrack::snapshot().total_allocs - mark;
+      state.PauseTiming();
+      world.run_for(msec(200));
+      refill();
+      next = 0;
+      state.ResumeTiming();
+      mark = memtrack::snapshot().total_allocs;
+    }
+    device.receive(batch[next++]);
+  }
+  timed_allocs += memtrack::snapshot().total_allocs - mark;
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(timed_allocs), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK_CAPTURE(BM_DymoRmHop, mkit, RmHopStack::kMkit);
+BENCHMARK_CAPTURE(BM_DymoRmHop, dymoum, RmHopStack::kDymoum);
 
 void BM_MprSelection(benchmark::State& state) {
   // A dense neighbourhood: n neighbours, each covering a slice of 2n

@@ -11,13 +11,16 @@
 # It likewise exits non-zero if BM_SchedulerFloodBurst/wheel (the timing
 # wheel on a dense same-tick flood) is slower than BM_SchedulerFloodBurst/heap
 # (the comparison heap on the same seeded burst), whose time the report
-# carries as the wheel row's baseline_ns.
+# carries as the wheel row's baseline_ns. BM_DymoRmHop/mkit likewise carries
+# BM_DymoRmHop/dymoum (the monolithic DYMOUM stand-in's hop, same run) as its
+# baseline_ns.
 #
 # With a second build directory (a build of the code before a change), the
-# OLSR world, route recompute and scheduler flood benches (BM_OlsrWorld*,
-# BM_OlsrRouteRecompute*, BM_SchedulerFloodBurst*) are also run as same-host
-# pairs: ten rounds, each running that subset from both builds in
-# alternating order. Each matching row gains the medians over the rounds:
+# OLSR world, route recompute, scheduler flood and DYMO hop benches
+# (BM_OlsrWorld*, BM_OlsrRouteRecompute*, BM_SchedulerFloodBurst*,
+# BM_DymoRmHop*) are also run as same-host pairs: ten rounds, each running
+# that subset from both builds in alternating order. Each matching row gains
+# the medians over the rounds:
 # paired_real_time_ns (this build), before_real_time_ns and
 # before_allocs_per_op (the other build), and before_speedup (before /
 # paired); paired_quartiles_ns and before_quartiles_ns hold each side's
@@ -56,7 +59,7 @@ if [[ -n "$before_bin" ]]; then
       bin="$bench_bin"
       [[ "$side" == before ]] && bin="$before_bin"
       "$bin" --benchmark_min_time=0.2 --benchmark_format=json \
-        --benchmark_filter='^(BM_OlsrWorld|BM_OlsrRouteRecompute|BM_SchedulerFloodBurst)' \
+        --benchmark_filter='^(BM_OlsrWorld|BM_OlsrRouteRecompute|BM_SchedulerFloodBurst|BM_DymoRmHop)' \
         > "$pairs/$side.$i.json"
     done
   done
@@ -114,9 +117,11 @@ before_pairs = paired("before")
 # rerun of the identical seeded scenario. BM_WorldSecond/N maps to
 # BM_WorldSecondRef/N, so the report shows the grid backend's speedup over
 # the O(n^2) oracle (acceptance: >= 10x at /1000); the scheduler flood's
-# wheel row maps to its heap row.
+# wheel row maps to its heap row, and the MANETKit DYMO hop to DYMOUM's.
 FLOOD_WHEEL = "BM_SchedulerFloodBurst/wheel"
 FLOOD_HEAP = "BM_SchedulerFloodBurst/heap"
+HOP_MKIT = "BM_DymoRmHop/mkit"
+HOP_DYMOUM = "BM_DymoRmHop/dymoum"
 times = {b["name"]: b["real_time"] for b in benches}
 ref_ns = {
     name.replace("BM_WorldSecondRef/", "BM_WorldSecond/"): t
@@ -125,6 +130,8 @@ ref_ns = {
 }
 if FLOOD_HEAP in times:
     ref_ns[FLOOD_WHEEL] = times[FLOOD_HEAP]
+if HOP_DYMOUM in times:
+    ref_ns[HOP_MKIT] = times[HOP_DYMOUM]
 
 results = []
 for b in benches:
@@ -215,7 +222,14 @@ report = {
             "RREQ flood (150 nodes x 12 neighbours, 8 floods, `events` "
             "deliveries per op) through SimScheduler via 1 ms run_for steps; "
             "the wheel row's baseline_ns is the heap row of the same run, "
-            "and the script fails if the wheel is the slower one.",
+            "and the script fails if the wheel is the slower one. "
+            "BM_DymoRmHop/{mkit,dymoum} time one DYMO RREQ hop (receipt, "
+            "learning the originator and four path relays, duplicate check, "
+            "rebroadcast) on a node of a converged 150-node grid world, with "
+            "MANETKit's DYMO CF and with the monolithic DYMOUM stand-in; the "
+            "mkit row's baseline_ns is the dymoum row of the same run, so "
+            "its `speedup` below 1 is MANETKit's cost over the monolith "
+            "(Table 1's time-to-process-message comparison per hop).",
     "context": raw.get("context", {}),
     "results": results,
 }

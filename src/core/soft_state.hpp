@@ -15,9 +15,10 @@
 //
 // Refreshes are lazy: touch() on an already-armed entry just records the new
 // deadline, and the timer re-arms itself when the stale deadline fires. A
-// link refreshed every HELLO therefore costs a map-update per HELLO but only
-// one scheduler arm per holding time, keeping steady-state timer traffic
-// (and allocations) low.
+// link refreshed every HELLO therefore costs a table update per HELLO but
+// only one scheduler arm per holding time, keeping steady-state timer
+// traffic (and allocations) low. Each set's entries sit in a sorted flat
+// table (util/flat_map.hpp): a refresh is a binary search, not a node walk.
 //
 // Every true expiry appends a kSoftExpire journal record (through the
 // owning Framework Manager's journal, when tracing is attached), so
@@ -26,12 +27,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "core/cfs.hpp"
 #include "opencom/interface.hpp"
+#include "util/flat_map.hpp"
 #include "util/time.hpp"
 
 namespace mk::core {
@@ -102,7 +103,7 @@ class SoftExpiry final : public EventSource, public ISoftExpiry {
     Duration hold{};
     LossFn on_expire;
     SeedFn seed;
-    std::map<std::uint64_t, Entry> entries;
+    FlatMap<std::uint64_t, Entry> entries;
   };
 
   void arm(SetId set, std::uint64_t key, Entry& entry, TimePoint at);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "core/attrs.hpp"
 #include "core/framework_manager.hpp"
@@ -125,7 +126,10 @@ bool NetLinkComponent::on_no_route(const net::DataHeader& hdr) {
 }
 
 void NetLinkComponent::on_route_used(net::Addr dest) {
-  ev::Event e(ev::types::ROUTE_UPDATE);
+  // Raised per forwarded data packet: intern the type once.
+  static const ev::EventTypeId kRouteUpdate =
+      ev::etype(ev::types::ROUTE_UPDATE);
+  ev::Event e(kRouteUpdate);
   e.set_int(attrs::kDest, dest);
   system_.emit(std::move(e));
 }
@@ -322,7 +326,9 @@ void SystemCf::refresh_tuple() {
 
 void SystemCf::deliver(const ev::Event& event) {
   auto lock = quiesce();
-  if (netlink_ != nullptr && event.type() == ev::etype(ev::types::ROUTE_FOUND)) {
+  static const ev::EventTypeId kRouteFound =
+      ev::etype(ev::types::ROUTE_FOUND);
+  if (netlink_ != nullptr && event.type() == kRouteFound) {
     netlink_->on_route_found(
         static_cast<net::Addr>(event.get_int(attrs::kDest)));
     return;
@@ -446,10 +452,11 @@ void SystemCf::on_control_frame(const net::Frame& frame) {
     e.from = frame.tx;
     // One shared (pool-recycled) message per RX: every protocol the
     // Framework Manager fans this event out to sees the same immutable
-    // pbb::Message. Copy-assign keeps the parse scratch warm for the next
-    // frame and fills the recycled slot's warm buffers in place.
+    // pbb::Message. Swapping hands the parsed message over without a copy
+    // and leaves the recycled slot's warm buffers in the parse scratch,
+    // which the next frame slot-fills.
     auto owned = pbb::acquire_message();
-    *owned = msg;
+    std::swap(*owned, msg);
     e.set_msg(ev::MsgPtr(std::move(owned)));
 
     if (profiling_) {

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "util/result.hpp"
+#include "util/small_bytes.hpp"
 
 namespace mk::pbb {
 
@@ -53,12 +54,14 @@ struct Tlv {
   bool operator==(const Tlv&) const = default;
 };
 
-/// TLV attached to the address index range [index_start, index_stop].
+/// TLV attached to the address index range [index_start, index_stop]. Its
+/// value is almost always 1-4 bytes, so it is held inline (SmallBytes):
+/// copying or parsing an address block allocates nothing per TLV.
 struct AddressTlv {
   std::uint8_t type = 0;
   std::uint8_t index_start = 0;
   std::uint8_t index_stop = 0;
-  std::vector<std::uint8_t> value;
+  SmallBytes value;
 
   std::uint8_t as_u8() const;
   std::uint32_t as_u32() const;

@@ -70,10 +70,30 @@ pbb::Message build_rerr(const reactive::Unreachable& unreachable) {
   return m;
 }
 
+/// The AODV_OUT event type, resolved once on first use.
+ev::EventTypeId aodv_out() {
+  static const ev::EventTypeId id = ev::etype(ev::types::AODV_OUT);
+  return id;
+}
+
 void emit(core::ProtocolContext& ctx, pbb::Message msg,
           net::Addr unicast_to = net::kNoAddr) {
-  ev::Event out(ev::etype(ev::types::AODV_OUT));
+  ev::Event out(aodv_out());
   out.set_msg(std::move(msg));
+  if (unicast_to != net::kNoAddr) out.set_int(kUnicastTo, unicast_to);
+  ctx.emit(std::move(out));
+}
+
+/// Relays `msg` one hop further; broadcast unless `unicast_to` names a next
+/// hop. Copy-assigns into the recycled pool slot, whose warm buffers take
+/// the copy without allocating.
+void forward(core::ProtocolContext& ctx, const pbb::Message& msg,
+             net::Addr unicast_to = net::kNoAddr) {
+  ev::Event out(aodv_out());
+  pbb::Message& fwd = out.acquire_msg();
+  fwd = msg;
+  fwd.hop_limit -= 1;
+  fwd.hop_count += 1;
   if (unicast_to != net::kNoAddr) out.set_int(kUnicastTo, unicast_to);
   ctx.emit(std::move(out));
 }
@@ -91,12 +111,16 @@ class AodvEmitter final : public reactive::Emitter {
   void send_rerr(core::ProtocolContext& ctx,
                  const reactive::Unreachable& lost) override {
     pbb::Message m = build_rerr(lost);
-    ctx.metrics().counter("aodv.rerr_out").inc();
+    if (rerr_out_ == nullptr) {
+      rerr_out_ = &ctx.metrics().counter("aodv.rerr_out");
+    }
+    rerr_out_->inc();
     emit(ctx, std::move(m));
   }
 
  private:
   AodvParams params_;
+  obs::Counter* rerr_out_ = nullptr;  // cached "aodv.rerr_out"
 };
 
 /// RREQ / RREP / RERR processing, demultiplexed on the PacketBB type.
@@ -160,12 +184,10 @@ class AodvHandler final : public core::EventHandler {
     learn(ctx, msg, event.from);
 
     // Every sighting refreshes the tuple's holding time.
-    bool dup = st.check_rreq_seen(*msg.originator, id_tlv->as_u32(), ctx.now());
-    if (auto* s = soft(ctx)) {
-      s->touch(aodv_sets::kRreqId,
-               aodv_rreq_key(*msg.originator, id_tlv->as_u32()));
+    if (reactive::seen_before(ctx, soft(ctx), *msg.originator,
+                              id_tlv->as_u32())) {
+      return;
     }
-    if (dup) return;
 
     net::Addr target = msg.addr_blocks[0].addrs[0];
     const auto* want_seq = msg.addr_blocks[0].tlv_for(0, wire::kAtlvSeqnum);
@@ -199,11 +221,7 @@ class AodvHandler final : public core::EventHandler {
     }
 
     if (msg.hop_limit <= 1) return;
-    ev::Event out(ev::etype(ev::types::AODV_OUT));
-    pbb::Message& fwd = out.set_msg(msg);
-    fwd.hop_limit -= 1;
-    fwd.hop_count += 1;
-    ctx.emit(std::move(out));
+    forward(ctx, msg);
   }
 
   void on_rrep(const ev::Event& event, core::ProtocolContext& ctx) {
@@ -224,12 +242,7 @@ class AodvHandler final : public core::EventHandler {
     st.add_precursor(rreq_origin, event.from);
 
     if (msg.hop_limit <= 1) return;
-    ev::Event out(ev::etype(ev::types::AODV_OUT));
-    pbb::Message& fwd = out.set_msg(msg);
-    fwd.hop_limit -= 1;
-    fwd.hop_count += 1;
-    out.set_int(kUnicastTo, reverse->next_hop);
-    ctx.emit(std::move(out));
+    forward(ctx, msg, reverse->next_hop);
   }
 
   void on_rerr(const ev::Event& event, core::ProtocolContext& ctx) {
@@ -294,16 +307,16 @@ class PiggybackBridge final : public oc::Component {
               // Split horizon: the advertised route runs through us — using
               // it back through the advertiser would form a 2-node loop.
               if (via == ctx.self()) continue;
-              if (st->update_route(dest, seq, true, from,
-                                   static_cast<std::uint8_t>(hops + 1),
-                                   ctx.now(), params_copy.active_route_timeout)) {
+              const auto learned =
+                  st->learn(dest, seq, true, from,
+                            static_cast<std::uint8_t>(hops + 1), ctx.now(),
+                            params_copy.active_route_timeout);
+              if (learned.changed) {
                 reactive::install_route(ctx, dest, from,
                                         static_cast<std::uint8_t>(hops + 1));
               }
               if (soft != nullptr) {
-                if (auto deadline = st->route_expiry(dest)) {
-                  soft->touch_at(aodv_sets::kRoute, dest, *deadline);
-                }
+                soft->touch_at(aodv_sets::kRoute, dest, learned.expires);
               }
             }
           } catch (const BufferUnderflow&) {
@@ -339,7 +352,6 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
   // fn invalidates a lapsed valid entry and re-arms it for DELETE_PERIOD
   // (seqnum memory), then lets the second lapse delete it.
   auto soft = std::make_unique<core::SoftExpiry>();
-  core::ManetProtocolCf* raw = cf.get();
   auto emitter = std::make_shared<AodvEmitter>(params);
   reactive::define_sets(
       *soft, *cf, emitter, params.active_route_timeout, params.rreq_wait,
@@ -354,22 +366,7 @@ std::unique_ptr<core::ManetProtocolCf> build_aodv_cf(core::Manetkit& kit,
           }
         }
       });
-  soft->define_set(
-      "aodv.rreq_id", params.rreq_id_hold,
-      [](std::uint64_t key, core::ProtocolContext& ctx) {
-        aodv_state_of(ctx).drop_rreq_seen(
-            static_cast<net::Addr>(key >> 24),
-            static_cast<std::uint32_t>(key & 0xFFFFFF));
-      },
-      [raw]() {
-        std::vector<std::uint64_t> keys;
-        if (AodvState* st = aodv_state(*raw)) {
-          for (const auto& [origin, id] : st->rreq_seen_entries()) {
-            keys.push_back(aodv_rreq_key(origin, id));
-          }
-        }
-        return keys;
-      });
+  reactive::define_seen_set(*soft, *cf, "aodv.rreq_id", params.rreq_id_hold);
   cf->add_source(std::move(soft));
 
   cf->add_handler(std::make_unique<AodvHandler>(params));

@@ -42,7 +42,7 @@ struct AodvParams {
 namespace aodv_sets {
 inline constexpr core::ISoftExpiry::SetId kRoute = reactive::kRouteSet;
 inline constexpr core::ISoftExpiry::SetId kPending = reactive::kPendingSet;
-inline constexpr core::ISoftExpiry::SetId kRreqId = 2;
+inline constexpr core::ISoftExpiry::SetId kRreqId = reactive::kSeenSet;
 }  // namespace aodv_sets
 
 /// Packs an RREQ duplicate-cache tuple into SoftExpiry's 56-bit key space.

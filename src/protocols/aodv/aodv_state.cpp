@@ -12,26 +12,24 @@ bool seq_newer(std::uint16_t a, std::uint16_t b) {
 
 }  // namespace
 
-AodvState::AodvState() : RouteTable("aodv.AodvState", kMaxTries) {}
+// The RREQ-ID cache's soft keys carry the id's low 24 bits (aodv_rreq_key).
+AodvState::AodvState() : RouteTable("aodv.AodvState", kMaxTries, 24) {}
 
-bool AodvState::update_route(net::Addr dest, std::uint16_t seq, bool seq_valid,
-                             net::Addr next_hop, std::uint8_t hops,
-                             TimePoint now, Duration lifetime) {
-  auto it = routes_.find(dest);
-  if (it != routes_.end()) {
-    const AodvRoute& r = it->second;
+AodvState::Learned AodvState::learn(net::Addr dest, std::uint16_t seq,
+                                    bool seq_valid, net::Addr next_hop,
+                                    std::uint8_t hops, TimePoint now,
+                                    Duration lifetime) {
+  auto [it, fresh] = routes_.try_emplace(dest);
+  AodvRoute& r = it->second;
+  if (!fresh) {
     bool accept = !r.seq_valid || (seq_valid && seq_newer(seq, r.dest_seq)) ||
                   (seq_valid && seq == r.dest_seq &&
                    (!r.valid || hops < r.hops));
     if (!accept) {
-      if (r.valid && r.next_hop == next_hop) {
-        it->second.expires = now + lifetime;
-      }
-      return false;
+      if (r.valid && r.next_hop == next_hop) r.expires = now + lifetime;
+      return {false, r.expires};
     }
   }
-  AodvRoute r;
-  if (it != routes_.end()) r.precursors = it->second.precursors;
   r.dest = dest;
   r.next_hop = next_hop;
   r.dest_seq = seq;
@@ -39,8 +37,7 @@ bool AodvState::update_route(net::Addr dest, std::uint16_t seq, bool seq_valid,
   r.hops = hops;
   r.valid = true;
   r.expires = now + lifetime;
-  routes_[dest] = std::move(r);
-  return true;
+  return {true, r.expires};
 }
 
 void AodvState::add_precursor(net::Addr dest, net::Addr precursor) {
@@ -65,41 +62,6 @@ std::optional<TimePoint> AodvState::expire_one(net::Addr dest, TimePoint now,
   }
   routes_.erase(it);
   return std::nullopt;
-}
-
-bool AodvState::check_rreq_seen(net::Addr origin, std::uint32_t rreq_id,
-                                TimePoint now) {
-  auto [it, inserted] = rreq_seen_.emplace(std::make_pair(origin, rreq_id), now);
-  if (!inserted) {
-    it->second = now;
-    return true;
-  }
-  return false;
-}
-
-void AodvState::expire_rreq_cache(TimePoint now, Duration hold) {
-  for (auto it = rreq_seen_.begin(); it != rreq_seen_.end();) {
-    it = (now - it->second > hold) ? rreq_seen_.erase(it) : std::next(it);
-  }
-}
-
-bool AodvState::drop_rreq_seen(net::Addr origin, std::uint32_t rreq_id_low24) {
-  auto it = rreq_seen_.lower_bound(std::make_pair(origin, std::uint32_t{0}));
-  for (; it != rreq_seen_.end() && it->first.first == origin; ++it) {
-    if ((it->first.second & 0xFFFFFF) == rreq_id_low24) {
-      rreq_seen_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-std::vector<std::pair<net::Addr, std::uint32_t>> AodvState::rreq_seen_entries()
-    const {
-  std::vector<std::pair<net::Addr, std::uint32_t>> out;
-  out.reserve(rreq_seen_.size());
-  for (const auto& [key, _] : rreq_seen_) out.push_back(key);
-  return out;
 }
 
 // Codec layout (version 1, big-endian):
@@ -129,12 +91,12 @@ void AodvState::encode_state(std::vector<std::uint8_t>& out) const {
     cc::put_u16(out, static_cast<std::uint16_t>(r.precursors.size()));
     for (net::Addr p : r.precursors) cc::put_u32(out, p);
   }
-  cc::put_u16(out, static_cast<std::uint16_t>(rreq_seen_.size()));
-  for (const auto& [key, seen] : rreq_seen_) {
-    cc::put_u32(out, key.first);
-    cc::put_u32(out, key.second);
-    cc::put_i64(out, seen.us);
-  }
+  cc::put_u16(out, static_cast<std::uint16_t>(seen().size()));
+  seen().for_each([&](net::Addr origin, std::uint32_t id, TimePoint at) {
+    cc::put_u32(out, origin);
+    cc::put_u32(out, id);
+    cc::put_i64(out, at.us);
+  });
 }
 
 bool AodvState::decode_state(std::span<const std::uint8_t> blob) {
@@ -184,7 +146,7 @@ bool AodvState::decode_state(std::span<const std::uint8_t> blob) {
         !cc::get_i64(blob, off, seen_us)) {
       return false;
     }
-    rreq_seen_[std::make_pair(net::Addr{origin}, rreq_id)] = TimePoint{seen_us};
+    seen().insert(origin, rreq_id, TimePoint{seen_us});
   }
   return off == blob.size();
 }
@@ -193,7 +155,7 @@ void AodvState::reset_state() {
   routes_.clear();
   own_seq_ = 1;
   rreq_id_ = 0;
-  rreq_seen_.clear();
+  seen().clear();
   clear_pending();
 }
 

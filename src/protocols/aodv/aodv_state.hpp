@@ -1,14 +1,13 @@
 // S element of the AODV CF (RFC 3561 core): routing table with destination
-// sequence numbers and precursor lists, and the RREQ-ID duplicate cache. The
-// pending-discovery table comes from the reactive skeleton's base.
+// sequence numbers and precursor lists. The pending-discovery table and the
+// RREQ-ID duplicate cache (the seen set, keyed by RREQ id) come from the
+// reactive skeleton's base.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "net/address.hpp"
@@ -45,16 +44,21 @@ class AodvState : public reactive::RouteTable<AodvRoute> {
   AodvState();
 
   /// Standard AODV acceptance rule (newer seq, or equal seq with fewer
-  /// hops, or unknown seq on the existing entry).
+  /// hops, or unknown seq on the existing entry). An accepted update keeps
+  /// the entry's precursors.
+  Learned learn(net::Addr dest, std::uint16_t seq, bool seq_valid,
+                net::Addr next_hop, std::uint8_t hops, TimePoint now,
+                Duration lifetime);
   bool update_route(net::Addr dest, std::uint16_t seq, bool seq_valid,
                     net::Addr next_hop, std::uint8_t hops, TimePoint now,
-                    Duration lifetime);
+                    Duration lifetime) {
+    return learn(dest, seq, seq_valid, next_hop, hops, now, lifetime).changed;
+  }
   /// The skeleton's learn step: sequence numbers from RREQ/RREP originators
   /// are always known.
-  bool update_route(net::Addr dest, std::uint16_t seq, net::Addr next_hop,
-                    std::uint8_t hops, TimePoint now,
-                    Duration lifetime) override {
-    return update_route(dest, seq, true, next_hop, hops, now, lifetime);
+  Learned learn(net::Addr dest, std::uint16_t seq, net::Addr next_hop,
+                std::uint8_t hops, TimePoint now, Duration lifetime) override {
+    return learn(dest, seq, true, next_hop, hops, now, lifetime);
   }
 
   void add_precursor(net::Addr dest, net::Addr precursor);
@@ -73,23 +77,22 @@ class AodvState : public reactive::RouteTable<AodvRoute> {
   std::uint16_t bump_seq() { return ++own_seq_; }
   std::uint32_t next_rreq_id() { return ++rreq_id_; }
 
-  /// RREQ duplicate cache keyed by (originator, rreq id).
-  bool check_rreq_seen(net::Addr origin, std::uint32_t rreq_id, TimePoint now);
-  void expire_rreq_cache(TimePoint now, Duration hold);
-  /// Removes one cache tuple by originator and the rreq id's *low 24 bits*
-  /// (the soft-state key only carries those; ids are monotonic per node, so
-  /// the truncation cannot collide within rreq_id_hold). Returns true if a
-  /// matching tuple existed.
-  bool drop_rreq_seen(net::Addr origin, std::uint32_t rreq_id_low24);
-  /// All live cache tuples (expiry re-seeding).
-  std::vector<std::pair<net::Addr, std::uint32_t>> rreq_seen_entries() const;
+  /// RREQ duplicate cache keyed by (originator, rreq id). Its soft keys
+  /// carry the rreq id's low 24 bits (see aodv_rreq_key).
+  bool check_rreq_seen(net::Addr origin, std::uint32_t rreq_id,
+                       TimePoint now) {
+    return seen().check(origin, rreq_id, now);
+  }
+  void expire_rreq_cache(TimePoint now, Duration hold) {
+    seen().expire(now, hold);
+  }
 
   /// RREQ tries per discovery before giving up (RREQ_RETRIES in RFC 3561).
   static constexpr std::uint8_t kMaxTries = 2;
 
   std::string describe() const override;
 
-  // -- IStateCodec (S-element replication, ISSUE 10) ----------------------------
+  // -- IStateCodec (S-element replication) --------------------------------------
   /// Route table (with precursors and seqnum memory), own sequence number,
   /// RREQ-ID counter and the RREQ duplicate cache. Pending discoveries are
   /// transient negotiation state and are not carried.
@@ -100,7 +103,6 @@ class AodvState : public reactive::RouteTable<AodvRoute> {
  private:
   std::uint16_t own_seq_ = 1;
   std::uint32_t rreq_id_ = 0;
-  std::map<std::pair<net::Addr, std::uint32_t>, TimePoint> rreq_seen_;
 };
 
 }  // namespace mk::proto

@@ -17,17 +17,14 @@ DymoState& dymo_state_of(core::ProtocolContext& ctx) {
   return *s;
 }
 
-/// Records `msg`'s (originator, seqnum) in the duplicate set, refreshing
-/// its holding time; true if it was already there.
-bool seen_before(const pbb::Message& msg, core::ProtocolContext& ctx,
-                 core::SoftExpiry* soft) {
-  bool dup = dymo_state_of(ctx).check_duplicate(*msg.originator, *msg.seqnum,
-                                                ctx.now());
-  if (soft != nullptr) {
-    soft->touch(dymo_sets::kDuplicate,
-                dymo_dup_key(*msg.originator, *msg.seqnum));
-  }
-  return dup;
+/// The RM_OUT and RERR_OUT event types, each resolved once on first use.
+ev::EventTypeId rm_out() {
+  static const ev::EventTypeId id = ev::etype(ev::types::RM_OUT);
+  return id;
+}
+ev::EventTypeId rerr_out() {
+  static const ev::EventTypeId id = ev::etype(ev::types::RERR_OUT);
+  return id;
 }
 
 /// DYMO's plug-in into the reactive skeleton: RM route requests and RERRs.
@@ -38,7 +35,7 @@ class DymoEmitter final : public reactive::Emitter {
   explicit DymoEmitter(DymoParams params) : Emitter("dymo"), params_(params) {}
 
   void send_rreq(core::ProtocolContext& ctx, net::Addr target) override {
-    ev::Event e(ev::etype("RM_OUT"));
+    ev::Event e(rm_out());
     e.set_msg(rm::build_rreq(ctx.self(), dymo_state_of(ctx).bump_seq(), target,
                              params_.rreq_hop_limit));
     ctx.emit(std::move(e));
@@ -46,16 +43,20 @@ class DymoEmitter final : public reactive::Emitter {
 
   void send_rerr(core::ProtocolContext& ctx,
                  const reactive::Unreachable& lost) override {
-    ev::Event e(ev::etype("RERR_OUT"));
+    ev::Event e(rerr_out());
     e.set_msg(rm::build_rerr(ctx.self(), rerr_seq_++, lost,
                              params_.rerr_hop_limit));
-    ctx.metrics().counter("dymo.rerr_out").inc();
+    if (rerr_count_ == nullptr) {
+      rerr_count_ = &ctx.metrics().counter("dymo.rerr_out");
+    }
+    rerr_count_->inc();
     ctx.emit(std::move(e));
   }
 
  private:
   DymoParams params_;
   std::uint16_t rerr_seq_ = 1;
+  obs::Counter* rerr_count_ = nullptr;  // cached "dymo.rerr_out"
 };
 
 }  // namespace
@@ -189,7 +190,7 @@ void ReHandler::send_rrep(const ev::Event& rreq_event,
                           core::ProtocolContext& ctx, bool bump_seq) {
   const pbb::Message& rreq = *rreq_event.msg();
   DymoState& st = dymo_state_of(ctx);
-  ev::Event out(ev::etype("RM_OUT"));
+  ev::Event out(rm_out());
   out.set_msg(rm::build_rrep(ctx.self(),
                              bump_seq ? st.bump_seq() : st.own_seq(),
                              *rreq.originator, params_.rreq_hop_limit));
@@ -237,7 +238,8 @@ void ReHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
   if (target == net::kNoAddr) return;
 
   if (rm::kind(msg) == rm::Kind::kRreq) {
-    bool dup = seen_before(msg, ctx, soft(ctx));
+    bool dup = reactive::seen_before(ctx, soft(ctx), *msg.originator,
+                                     *msg.seqnum);
     if (target == ctx.self()) {
       // A duplicate that yields an alternate reverse path is answered too,
       // with the *same* sequence number, so the originator learns one RREP
@@ -258,12 +260,7 @@ void ReHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
     if (msg.hop_limit <= 1) return;
     if (!should_relay_rreq(event, ctx)) return;
     // Path accumulation + rebroadcast.
-    ev::Event out(ev::etype("RM_OUT"));
-    pbb::Message& fwd = out.set_msg(msg);
-    fwd.hop_limit -= 1;
-    fwd.hop_count += 1;
-    rm::append_self(fwd, ctx.self(), st.own_seq());
-    ctx.emit(std::move(out));
+    forward(msg, ctx, net::kNoAddr);
     return;
   }
 
@@ -282,12 +279,20 @@ void ReHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
     return;
   }
   if (msg.hop_limit <= 1) return;
-  ev::Event out(ev::etype("RM_OUT"));
-  pbb::Message& fwd = out.set_msg(msg);
+  forward(msg, ctx, route->active()->next_hop);
+}
+
+void ReHandler::forward(const pbb::Message& msg, core::ProtocolContext& ctx,
+                        net::Addr unicast_to) {
+  ev::Event out(rm_out());
+  // Copy-assign into the recycled pool slot: its warm buffers take the
+  // copy without allocating.
+  pbb::Message& fwd = out.acquire_msg();
+  fwd = msg;
   fwd.hop_limit -= 1;
   fwd.hop_count += 1;
-  rm::append_self(fwd, ctx.self(), st.own_seq());
-  out.set_int(kUnicastTo, route->active()->next_hop);
+  rm::append_self(fwd, ctx.self(), dymo_state_of(ctx).own_seq());
+  if (unicast_to != net::kNoAddr) out.set_int(kUnicastTo, unicast_to);
   ctx.emit(std::move(out));
 }
 
@@ -314,18 +319,21 @@ RerrHandler::RerrHandler()
 }
 
 void RerrHandler::handle(const ev::Event& event, core::ProtocolContext& ctx) {
-  ctx.metrics().counter("dymo.rerr_in").inc();
+  if (rerr_in_ == nullptr) rerr_in_ = &ctx.metrics().counter("dymo.rerr_in");
+  rerr_in_->inc();
   if (!event.has_msg() || !event.msg()->originator || !event.msg()->seqnum) {
     return;
   }
   const pbb::Message& msg = *event.msg();
   if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
-  if (seen_before(msg, ctx, soft_)) return;
+  if (reactive::seen_before(ctx, soft_, *msg.originator, *msg.seqnum)) {
+    return;
+  }
 
   reactive::Unreachable still_unreachable =
       reactive::invalidate_reported(ctx, msg, event.from);
   if (!still_unreachable.empty() && msg.has_hops && msg.hop_limit > 1) {
-    ev::Event out(ev::etype("RERR_OUT"));
+    ev::Event out(rerr_out());
     out.set_msg(rm::build_rerr(ctx.self(), *msg.seqnum, still_unreachable,
                                static_cast<std::uint8_t>(msg.hop_limit - 1)));
     ctx.emit(std::move(out));
@@ -353,7 +361,6 @@ std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
   // per-entry, so a route lapses — and its kernel entry goes — at its exact
   // lifetime, and RREQ retries fire at their exact backoff deadline.
   auto soft = std::make_unique<core::SoftExpiry>();
-  core::ManetProtocolCf* raw = cf.get();
   reactive::define_sets(
       *soft, *cf, std::make_shared<DymoEmitter>(params), params.route_lifetime,
       params.rreq_wait, [](std::uint64_t key, core::ProtocolContext& ctx) {
@@ -362,22 +369,8 @@ std::unique_ptr<core::ManetProtocolCf> build_dymo_cf(core::Manetkit& kit,
           reactive::remove_route(ctx, dest);
         }
       });
-  soft->define_set(
-      "dymo.duplicate", params.duplicate_hold,
-      [](std::uint64_t key, core::ProtocolContext& ctx) {
-        dymo_state_of(ctx).drop_duplicate(
-            static_cast<net::Addr>(key >> 16),
-            static_cast<std::uint16_t>(key & 0xFFFF));
-      },
-      [raw]() {
-        std::vector<std::uint64_t> keys;
-        if (DymoState* st = dymo_state(*raw)) {
-          for (const auto& [origin, seq] : st->duplicate_entries()) {
-            keys.push_back(dymo_dup_key(origin, seq));
-          }
-        }
-        return keys;
-      });
+  reactive::define_seen_set(*soft, *cf, "dymo.duplicate",
+                            params.duplicate_hold);
   cf->add_source(std::move(soft));
 
   cf->add_handler(std::make_unique<ReHandler>(params));

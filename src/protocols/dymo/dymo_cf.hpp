@@ -42,7 +42,7 @@ struct DymoParams {
 namespace dymo_sets {
 inline constexpr core::ISoftExpiry::SetId kRoute = reactive::kRouteSet;
 inline constexpr core::ISoftExpiry::SetId kPending = reactive::kPendingSet;
-inline constexpr core::ISoftExpiry::SetId kDuplicate = 2;
+inline constexpr core::ISoftExpiry::SetId kDuplicate = reactive::kSeenSet;
 }  // namespace dymo_sets
 
 /// Packs an RM duplicate-set tuple into a soft-state key.
@@ -111,6 +111,11 @@ class ReHandler : public core::EventHandler {
   /// the previous hop.
   void learn(const ev::Event& event, core::ProtocolContext& ctx);
 
+  /// Relays `msg` one hop further with this node appended to its path;
+  /// broadcast unless `unicast_to` names a next hop.
+  void forward(const pbb::Message& msg, core::ProtocolContext& ctx,
+               net::Addr unicast_to);
+
   obs::Counter* rm_in_ = nullptr;      // cached "dymo.rm_in"
   obs::Counter* rrep_sent_ = nullptr;  // cached "dymo.rrep_sent"
   core::SoftExpiry* soft_ = nullptr;   // cached per composition epoch
@@ -146,6 +151,7 @@ class RerrHandler final : public core::EventHandler {
 
  private:
   core::SoftExpiry* soft_ = nullptr;  // cached per composition epoch
+  obs::Counter* rerr_in_ = nullptr;   // cached "dymo.rerr_in"
 };
 
 /// Kernel-table sync and ROUTE_FOUND emission: the reactive skeleton's

@@ -13,14 +13,15 @@ bool seq_newer(std::uint16_t a, std::uint16_t b) {
 
 }  // namespace
 
-DymoState::DymoState() : RouteTable("dymo.DymoState", kMaxTries) {}
+// The RM duplicate set's soft keys carry the whole 16-bit RM seqnum.
+DymoState::DymoState() : RouteTable("dymo.DymoState", kMaxTries, 16) {}
 
-bool DymoState::update_route(net::Addr dest, std::uint16_t seq,
-                             net::Addr next_hop, std::uint8_t hops,
-                             TimePoint now, Duration lifetime) {
-  auto it = routes_.find(dest);
-  if (it != routes_.end()) {
-    const DymoRoute& r = it->second;
+DymoState::Learned DymoState::learn(net::Addr dest, std::uint16_t seq,
+                                    net::Addr next_hop, std::uint8_t hops,
+                                    TimePoint now, Duration lifetime) {
+  auto [it, fresh] = routes_.try_emplace(dest);
+  DymoRoute& r = it->second;
+  if (!fresh) {
     bool improves = seq_newer(seq, r.seqnum) ||
                     (seq == r.seqnum && !r.valid) ||
                     (seq == r.seqnum && r.active() != nullptr &&
@@ -29,19 +30,17 @@ bool DymoState::update_route(net::Addr dest, std::uint16_t seq,
       // Same info; still refresh the lifetime if it matches the active path.
       if (seq == r.seqnum && r.valid && r.active() != nullptr &&
           r.active()->next_hop == next_hop) {
-        it->second.expires = now + lifetime;
+        r.expires = now + lifetime;
       }
-      return false;
+      return {false, r.expires};
     }
   }
-  DymoRoute r;
   r.dest = dest;
   r.seqnum = seq;
   r.valid = true;
   r.expires = now + lifetime;
   r.paths = {DymoPath{next_hop, hops}};
-  routes_[dest] = std::move(r);
-  return true;
+  return {true, r.expires};
 }
 
 std::vector<net::Addr> DymoState::expire(TimePoint now) {
@@ -60,29 +59,6 @@ std::vector<net::Addr> DymoState::expire(TimePoint now) {
 DymoRoute* DymoState::mutable_route(net::Addr dest) {
   auto it = routes_.find(dest);
   return it == routes_.end() ? nullptr : &it->second;
-}
-
-bool DymoState::check_duplicate(net::Addr origin, std::uint16_t seq,
-                                TimePoint now) {
-  auto key = std::make_pair(origin, seq);
-  auto [it, inserted] = duplicates_.emplace(key, now);
-  if (!inserted) {
-    it->second = now;
-    return true;
-  }
-  return false;
-}
-
-bool DymoState::drop_duplicate(net::Addr origin, std::uint16_t seq) {
-  return duplicates_.erase(std::make_pair(origin, seq)) > 0;
-}
-
-std::vector<std::pair<net::Addr, std::uint16_t>> DymoState::duplicate_entries()
-    const {
-  std::vector<std::pair<net::Addr, std::uint16_t>> out;
-  out.reserve(duplicates_.size());
-  for (const auto& [key, _] : duplicates_) out.push_back(key);
-  return out;
 }
 
 // Codec layout (version 1, big-endian):
@@ -110,12 +86,12 @@ void DymoState::encode_state(std::vector<std::uint8_t>& out) const {
       cc::put_u8(out, p.hops);
     }
   }
-  cc::put_u16(out, static_cast<std::uint16_t>(duplicates_.size()));
-  for (const auto& [key, seen] : duplicates_) {
-    cc::put_u32(out, key.first);
-    cc::put_u16(out, key.second);
-    cc::put_i64(out, seen.us);
-  }
+  cc::put_u16(out, static_cast<std::uint16_t>(seen().size()));
+  seen().for_each([&](net::Addr origin, std::uint32_t seq, TimePoint at) {
+    cc::put_u32(out, origin);
+    cc::put_u16(out, static_cast<std::uint16_t>(seq));
+    cc::put_i64(out, at.us);
+  });
 }
 
 bool DymoState::decode_state(std::span<const std::uint8_t> blob) {
@@ -136,7 +112,7 @@ bool DymoState::decode_state(std::span<const std::uint8_t> blob) {
     std::int64_t expires_us = 0;
     if (!cc::get_u32(blob, off, dest) || !cc::get_u16(blob, off, r.seqnum) ||
         !cc::get_u8(blob, off, valid) || !cc::get_i64(blob, off, expires_us) ||
-        !cc::get_u8(blob, off, n_paths)) {
+        !cc::get_u8(blob, off, n_paths) || n_paths > kDymoMaxPaths) {
       return false;
     }
     r.dest = dest;
@@ -163,7 +139,7 @@ bool DymoState::decode_state(std::span<const std::uint8_t> blob) {
         !cc::get_i64(blob, off, seen_us)) {
       return false;
     }
-    duplicates_[std::make_pair(net::Addr{origin}, seq)] = TimePoint{seen_us};
+    seen().insert(origin, seq, TimePoint{seen_us});
   }
   return off == blob.size();
 }
@@ -172,7 +148,7 @@ void DymoState::reset_state() {
   routes_.clear();
   own_seq_ = 1;
   clear_pending();
-  duplicates_.clear();
+  seen().clear();
 }
 
 std::string DymoState::describe() const {
@@ -191,7 +167,7 @@ bool MultipathDymoState::add_alternate_path(net::Addr dest, net::Addr next_hop,
                                             std::uint8_t hops) {
   DymoRoute* r = mutable_route(dest);
   if (r == nullptr || !r->valid) return false;
-  if (r->paths.size() >= kMaxPaths) return false;
+  if (r->paths.full()) return false;
   for (const DymoPath& p : r->paths) {
     if (p.next_hop == next_hop) return false;  // not link-disjoint
   }
@@ -202,7 +178,7 @@ bool MultipathDymoState::add_alternate_path(net::Addr dest, net::Addr next_hop,
 std::optional<DymoPath> MultipathDymoState::fail_over(net::Addr dest) {
   DymoRoute* r = mutable_route(dest);
   if (r == nullptr || r->paths.empty()) return std::nullopt;
-  r->paths.erase(r->paths.begin());
+  r->paths.pop_front();
   if (r->paths.empty()) {
     r->valid = false;
     return std::nullopt;

@@ -8,8 +8,43 @@ namespace mk::proto::reactive {
 
 // ------------------------------------------------------------ ReactiveState
 
-ReactiveState::ReactiveState(std::string type_name, std::uint8_t max_tries)
-    : oc::Component(std::move(type_name)), max_tries_(max_tries) {
+// ------------------------------------------------------------------ SeenSet
+
+bool SeenSet::drop(std::uint64_t soft_key) {
+  const auto origin = static_cast<net::Addr>(soft_key >> id_bits_);
+  const auto low = static_cast<std::uint32_t>(soft_key) & low_mask();
+  // Every id whose low bits read `low` is at least `low`, so the scan can
+  // start at (origin, low): for ids within id_bits that is the tuple itself.
+  for (auto it = seen_.lower_bound(pack(origin, low));
+       it != seen_.end() && (it->first >> 32) == origin; ++it) {
+    if ((static_cast<std::uint32_t>(it->first) & low_mask()) == low) {
+      seen_.erase(it);
+      return true;
+    }
+  }
+  return false;
+}
+
+void SeenSet::expire(TimePoint now, Duration hold) {
+  seen_.erase_if([&](const auto& e) { return now - e.second > hold; });
+}
+
+std::vector<std::uint64_t> SeenSet::soft_keys() const {
+  std::vector<std::uint64_t> out;
+  out.reserve(seen_.size());
+  for_each([&](net::Addr origin, std::uint32_t id, TimePoint) {
+    out.push_back(soft_key(origin, id));
+  });
+  return out;
+}
+
+// ------------------------------------------------------------ ReactiveState
+
+ReactiveState::ReactiveState(std::string type_name, std::uint8_t max_tries,
+                             unsigned seen_id_bits)
+    : oc::Component(std::move(type_name)),
+      max_tries_(max_tries),
+      seen_(seen_id_bits) {
   set_instance_name("State");
   provide("IState", static_cast<core::IState*>(this));
   provide("IStateCodec", static_cast<core::IStateCodec*>(this));
@@ -19,7 +54,7 @@ std::vector<net::Addr> ReactiveState::due_retries(
     TimePoint now, std::vector<net::Addr>& gave_up) {
   std::vector<net::Addr> retry;
   for (net::Addr dest : pending_dests()) {
-    if (pending_.at(dest).next_retry > now) continue;
+    if (pending_.find(dest)->second.next_retry > now) continue;
     if (retry_pending(dest, now)) {
       retry.push_back(dest);
     } else {
@@ -79,7 +114,9 @@ void remove_route(core::ProtocolContext& ctx, net::Addr dest) {
 }
 
 void emit_route_found(core::ProtocolContext& ctx, net::Addr dest) {
-  ev::Event e(ev::types::ROUTE_FOUND);
+  static const ev::EventTypeId kRouteFound =
+      ev::etype(ev::types::ROUTE_FOUND);
+  ev::Event e(kRouteFound);
   e.set_int(core::attrs::kDest, dest);
   ctx.emit(std::move(e));
 }
@@ -94,15 +131,21 @@ void accept(core::ProtocolContext& ctx, core::SoftExpiry* soft,
             std::uint8_t hops, Duration lifetime) {
   if (dest == ctx.self()) return;
   ReactiveState& st = state_of(ctx);
-  if (st.update_route(dest, seq, next_hop, hops, ctx.now(), lifetime)) {
+  const auto learned = st.learn(dest, seq, next_hop, hops, ctx.now(), lifetime);
+  if (learned.changed) {
     install_route(ctx, dest, next_hop, hops);
     end_discovery(st, soft, dest);
     emit_route_found(ctx, dest);
   }
-  if (soft == nullptr) return;
-  if (auto deadline = st.route_expiry(dest)) {
-    soft->touch_at(kRouteSet, dest, *deadline);
-  }
+  if (soft != nullptr) soft->touch_at(kRouteSet, dest, learned.expires);
+}
+
+bool seen_before(core::ProtocolContext& ctx, core::SoftExpiry* soft,
+                 net::Addr origin, std::uint32_t id) {
+  SeenSet& seen = state_of(ctx).seen();
+  const bool dup = seen.check(origin, id, ctx.now());
+  if (soft != nullptr) soft->touch(kSeenSet, seen.soft_key(origin, id));
+  return dup;
 }
 
 Unreachable invalidate_reported(core::ProtocolContext& ctx,
@@ -164,6 +207,22 @@ void define_sets(core::SoftExpiry& soft, core::ManetProtocolCf& cf,
             "reactive soft-state sets must be defined first");
 }
 
+void define_seen_set(core::SoftExpiry& soft, core::ManetProtocolCf& cf,
+                     std::string name, Duration hold) {
+  core::ManetProtocolCf* raw = &cf;
+  auto seen_set = soft.define_set(
+      std::move(name), hold,
+      [](std::uint64_t key, core::ProtocolContext& ctx) {
+        state_of(ctx).seen().drop(key);
+      },
+      [raw] {
+        auto* st = dynamic_cast<ReactiveState*>(raw->state_component());
+        return st != nullptr ? st->seen().soft_keys()
+                             : std::vector<std::uint64_t>{};
+      });
+  MK_ASSERT(seen_set == kSeenSet, "the seen set follows the reactive sets");
+}
+
 // ----------------------------------------------------------------- handlers
 
 NoRouteHandler::NoRouteHandler(std::string type_name, Duration rreq_wait,
@@ -212,9 +271,8 @@ RouteUpdateHandler::RouteUpdateHandler(std::string type_name,
 void RouteUpdateHandler::handle(const ev::Event& event,
                                 core::ProtocolContext& ctx) {
   auto dest = static_cast<net::Addr>(event.get_int(core::attrs::kDest));
-  ReactiveState& st = state_of(ctx);
-  st.extend_lifetime(dest, ctx.now(), lifetime_);
-  if (auto deadline = st.route_expiry(dest)) {
+  if (auto deadline = state_of(ctx).extend_lifetime(dest, ctx.now(),
+                                                     lifetime_)) {
     if (soft_ == nullptr) soft_ = core::soft_expiry_of(ctx);
     if (soft_ != nullptr) soft_->touch_at(kRouteSet, dest, *deadline);
   }

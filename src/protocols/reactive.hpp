@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -28,33 +27,101 @@
 #include "obs/metrics.hpp"
 #include "opencom/component.hpp"
 #include "packetbb/packetbb.hpp"
+#include "util/flat_map.hpp"
 #include "util/time.hpp"
 
 namespace mk::proto::reactive {
 
-/// Soft-state set ids every reactive CF defines first (see define_sets).
+/// Soft-state set ids every reactive CF defines first (see define_sets),
+/// then its seen set (see define_seen_set).
 inline constexpr core::ISoftExpiry::SetId kRouteSet = 0;
 inline constexpr core::ISoftExpiry::SetId kPendingSet = 1;
+inline constexpr core::ISoftExpiry::SetId kSeenSet = 2;
 
 /// (destination, sequence number) pairs reported unreachable in a RERR.
 using Unreachable = std::vector<std::pair<net::Addr, std::uint16_t>>;
 
+/// Duplicate suppression for flooded requests: the (originator, id) tuples
+/// seen recently, each with the time it was last seen, in ascending
+/// (originator, id) order. DYMO keys it by RM sequence number, AODV by RREQ
+/// id. A soft-state key names a tuple by its originator above the id's low
+/// `id_bits` bits.
+class SeenSet {
+ public:
+  explicit SeenSet(unsigned id_bits) : id_bits_(id_bits) {}
+
+  /// Records a sighting at `now`; true if the tuple was already there.
+  bool check(net::Addr origin, std::uint32_t id, TimePoint now) {
+    auto [it, inserted] = seen_.try_emplace(pack(origin, id), now);
+    if (!inserted) it->second = now;
+    return !inserted;
+  }
+  void insert(net::Addr origin, std::uint32_t id, TimePoint seen) {
+    seen_[pack(origin, id)] = seen;
+  }
+  std::uint64_t soft_key(net::Addr origin, std::uint32_t id) const {
+    return (std::uint64_t{origin} << id_bits_) | (id & low_mask());
+  }
+  /// Removes the lowest-id tuple a soft-state key names; true if one was
+  /// there.
+  bool drop(std::uint64_t soft_key);
+  /// Drops the tuples last seen more than `hold` before `now`.
+  void expire(TimePoint now, Duration hold);
+  /// Soft-state keys of every tuple (expiry re-seeding).
+  std::vector<std::uint64_t> soft_keys() const;
+  /// Visits (originator, id, last seen) in ascending (originator, id) order.
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (const auto& [packed, seen] : seen_) {
+      fn(static_cast<net::Addr>(packed >> 32),
+         static_cast<std::uint32_t>(packed), seen);
+    }
+  }
+  std::size_t size() const { return seen_.size(); }
+  void clear() { seen_.clear(); }
+
+ private:
+  static std::uint64_t pack(net::Addr origin, std::uint32_t id) {
+    return (std::uint64_t{origin} << 32) | id;
+  }
+  std::uint32_t low_mask() const {
+    return id_bits_ >= 32 ? ~std::uint32_t{0}
+                          : (std::uint32_t{1} << id_bits_) - 1;
+  }
+
+  unsigned id_bits_;
+  FlatMap<std::uint64_t, TimePoint> seen_;
+};
+
 /// Base of a reactive S element: the route-table operations the skeleton
-/// drives, plus the pending-discovery table it owns outright.
+/// drives, plus the pending-discovery table and the seen set it owns
+/// outright.
 class ReactiveState : public oc::Component,
                       public core::IState,
                       public core::IStateCodec {
  public:
   // -- route table (each protocol's own rules) -------------------------------
-  /// Applies learned route information; true if the route changed. A
-  /// same-info update may still extend the lifetime.
-  virtual bool update_route(net::Addr dest, std::uint16_t seq,
-                            net::Addr next_hop, std::uint8_t hops,
-                            TimePoint now, Duration lifetime) = 0;
-  virtual void extend_lifetime(net::Addr dest, TimePoint now,
-                               Duration lifetime) = 0;
-  /// Deadline of the entry for `dest`, valid or not; nullopt if none.
-  virtual std::optional<TimePoint> route_expiry(net::Addr dest) const = 0;
+  /// What one offer of route information did: whether the route changed,
+  /// and the entry's deadline afterwards (the entry always exists then).
+  struct Learned {
+    bool changed = false;
+    TimePoint expires{};
+  };
+  /// Applies learned route information with one table lookup. A same-info
+  /// offer may still extend the lifetime.
+  virtual Learned learn(net::Addr dest, std::uint16_t seq, net::Addr next_hop,
+                        std::uint8_t hops, TimePoint now,
+                        Duration lifetime) = 0;
+  /// learn(), reporting only whether the route changed.
+  bool update_route(net::Addr dest, std::uint16_t seq, net::Addr next_hop,
+                    std::uint8_t hops, TimePoint now, Duration lifetime) {
+    return learn(dest, seq, next_hop, hops, now, lifetime).changed;
+  }
+  /// Extends a valid route's lifetime. Returns the entry's deadline, valid
+  /// or not; nullopt if there is no entry.
+  virtual std::optional<TimePoint> extend_lifetime(net::Addr dest,
+                                                   TimePoint now,
+                                                   Duration lifetime) = 0;
   virtual bool has_valid_route(net::Addr dest) const = 0;
   /// Next hop of the valid route to `dest`; kNoAddr if there is none.
   virtual net::Addr valid_next_hop(net::Addr dest) const = 0;
@@ -67,7 +134,7 @@ class ReactiveState : public oc::Component,
 
   // -- pending discoveries ---------------------------------------------------
   std::uint8_t max_tries() const { return max_tries_; }
-  bool has_pending(net::Addr dest) const { return pending_.count(dest) > 0; }
+  bool has_pending(net::Addr dest) const { return pending_.contains(dest); }
   void start_pending(net::Addr dest, TimePoint now, Duration wait) {
     pending_[dest] = Pending{1, now + wait, wait};
   }
@@ -85,8 +152,14 @@ class ReactiveState : public oc::Component,
   std::vector<net::Addr> pending_dests() const;
   std::size_t pending_count() const { return pending_.size(); }
 
+  // -- seen set (flood duplicate suppression) ----------------------------------
+  SeenSet& seen() { return seen_; }
+  const SeenSet& seen() const { return seen_; }
+
  protected:
-  ReactiveState(std::string type_name, std::uint8_t max_tries);
+  /// `seen_id_bits`: how many low id bits the seen set's soft keys carry.
+  ReactiveState(std::string type_name, std::uint8_t max_tries,
+                unsigned seen_id_bits);
 
   /// Pending discoveries are transient: codecs never carry them, and
   /// reset_state() clears them.
@@ -99,7 +172,8 @@ class ReactiveState : public oc::Component,
     Duration backoff{};
   };
   std::uint8_t max_tries_;
-  std::map<net::Addr, Pending> pending_;
+  FlatMap<net::Addr, Pending> pending_;
+  SeenSet seen_;
 };
 
 /// A ReactiveState over a destination-keyed table of `Route`s. A Route has
@@ -115,18 +189,13 @@ class RouteTable : public ReactiveState {
     return it->second;
   }
   std::size_t route_count() const { return routes_.size(); }
-  const std::map<net::Addr, Route>& all_routes() const { return routes_; }
+  const FlatMap<net::Addr, Route>& all_routes() const { return routes_; }
 
-  void extend_lifetime(net::Addr dest, TimePoint now,
-                       Duration lifetime) override {
-    auto it = routes_.find(dest);
-    if (it != routes_.end() && it->second.valid) {
-      it->second.expires = now + lifetime;
-    }
-  }
-  std::optional<TimePoint> route_expiry(net::Addr dest) const override {
+  std::optional<TimePoint> extend_lifetime(net::Addr dest, TimePoint now,
+                                           Duration lifetime) override {
     auto it = routes_.find(dest);
     if (it == routes_.end()) return std::nullopt;
+    if (it->second.valid) it->second.expires = now + lifetime;
     return it->second.expires;
   }
   bool has_valid_route(net::Addr dest) const override {
@@ -162,7 +231,7 @@ class RouteTable : public ReactiveState {
  protected:
   using ReactiveState::ReactiveState;
 
-  std::map<net::Addr, Route> routes_;
+  FlatMap<net::Addr, Route> routes_;
 };
 
 /// The protocol's RREQ/RERR plug-in: the only place its wire format enters
@@ -198,9 +267,9 @@ void emit_route_found(core::ProtocolContext& ctx, net::Addr dest);
 void end_discovery(ReactiveState& st, core::SoftExpiry* soft, net::Addr dest);
 
 /// The learn step's accept: offers route information for `dest` via
-/// `next_hop`. On a change it installs the kernel route, ends any discovery
-/// for `dest` and emits ROUTE_FOUND; either way it re-arms the route's
-/// expiry at its (possibly extended) deadline.
+/// `next_hop` (one route-table lookup). On a change it installs the kernel
+/// route, ends any discovery for `dest` and emits ROUTE_FOUND; either way it
+/// re-arms the route's expiry at its (possibly extended) deadline.
 void accept(core::ProtocolContext& ctx, core::SoftExpiry* soft,
             net::Addr dest, std::uint16_t seq, net::Addr next_hop,
             std::uint8_t hops, Duration lifetime);
@@ -211,6 +280,11 @@ void accept(core::ProtocolContext& ctx, core::SoftExpiry* soft,
 Unreachable invalidate_reported(core::ProtocolContext& ctx,
                                 const pbb::Message& msg, net::Addr from);
 
+/// Records a flooded request's (originator, id) in the S element's seen set
+/// and refreshes its holding time; true if it was already there.
+bool seen_before(core::ProtocolContext& ctx, core::SoftExpiry* soft,
+                 net::Addr origin, std::uint32_t id);
+
 /// Defines the "<tag>.route" and "<tag>.pending" sets, which must be the
 /// first two sets of `soft` (ids kRouteSet and kPendingSet). A lapsed route
 /// runs `on_route_lapse`; a lapsed discovery re-sends its RREQ with doubled
@@ -219,6 +293,12 @@ Unreachable invalidate_reported(core::ProtocolContext& ctx,
 void define_sets(core::SoftExpiry& soft, core::ManetProtocolCf& cf,
                  std::shared_ptr<Emitter> emitter, Duration route_hold,
                  Duration rreq_wait, core::ISoftExpiry::LossFn on_route_lapse);
+
+/// Defines set `name` (id kSeenSet, right after define_sets): each seen-set
+/// tuple lapses `hold` after it was last seen. Re-seeds from the S element
+/// of `cf`.
+void define_seen_set(core::SoftExpiry& soft, core::ManetProtocolCf& cf,
+                     std::string name, Duration hold);
 
 // -- handlers ----------------------------------------------------------------
 

@@ -34,7 +34,7 @@ std::size_t count_loc(const std::string& path) {
   return loc;
 }
 
-std::string find_repo_root(std::string start) {
+std::string find_repo_root(std::string start, std::string source_root) {
   fs::path p = fs::absolute(start);
   for (int depth = 0; depth < 10; ++depth) {
     if (fs::exists(p / "DESIGN.md") && fs::exists(p / "src")) {
@@ -43,6 +43,7 @@ std::string find_repo_root(std::string start) {
     if (!p.has_parent_path() || p.parent_path() == p) break;
     p = p.parent_path();
   }
+  if (!source_root.empty()) return source_root;
   return fs::absolute(start).string();
 }
 

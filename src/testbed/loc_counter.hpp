@@ -29,9 +29,17 @@ std::vector<ComponentLoc> manifest();
 void count_manifest(std::vector<ComponentLoc>& entries,
                     const std::string& repo_root);
 
+/// The checkout a build was configured from, when the build passes it in
+/// (tests/CMakeLists.txt does); empty otherwise.
+#ifndef MK_SOURCE_ROOT
+#define MK_SOURCE_ROOT ""
+#endif
+
 /// Locates the repository root by walking up from `start` until a directory
-/// containing DESIGN.md is found; falls back to `start`.
-std::string find_repo_root(std::string start = ".");
+/// containing DESIGN.md is found. Falls back to `source_root` when it is
+/// non-empty (a build directory outside the checkout), else to `start`.
+std::string find_repo_root(std::string start = ".",
+                           std::string source_root = MK_SOURCE_ROOT);
 
 struct ReuseSummary {
   std::size_t reused_components = 0;
